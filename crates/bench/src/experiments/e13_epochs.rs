@@ -30,7 +30,7 @@
 
 use crate::table::{fmt_duration, fmt_f64};
 use crate::{Scale, Table};
-use most_core::{Database, SharedDatabase, UpdateOp};
+use most_core::{Database, EpochDb, UpdateOp};
 use most_dbms::value::Value;
 use most_ftl::Query;
 use most_spatial::{Point, Polygon, Rect, Velocity};
@@ -248,7 +248,7 @@ fn run_epoch(
     queries: usize,
 ) -> PhaseBOutcome {
     let whole_set: HashSet<&String> = expected.iter().collect();
-    let shared = SharedDatabase::new(db0.clone());
+    let shared = EpochDb::new(db0.clone());
     let start = Instant::now();
     let (all_lats, mismatches) = thread::scope(|s| {
         let writer = {
@@ -256,7 +256,7 @@ fn run_epoch(
             s.spawn(move || {
                 for step in script {
                     match step {
-                        Step::Advance(n) => shared.advance_clock(*n),
+                        Step::Advance(n) => shared.commit(|d| d.advance_clock(*n)),
                         Step::Batch(ops) => {
                             shared.apply_updates(ops).expect("script ops are valid")
                         }
@@ -293,7 +293,7 @@ fn run_epoch(
     });
     let elapsed = start.elapsed();
     // Quiescent hygiene: one epoch per step, conservation, no leaks.
-    let st = shared.epoch_stats();
+    let st = shared.stats();
     assert_eq!(st.current as usize, script.len(), "one epoch per step: {st:?}");
     assert_eq!(st.created, st.retired + st.live, "conservation: {st:?}");
     assert_eq!(st.live, 1, "old epochs leaked: {st:?}");
@@ -333,13 +333,13 @@ pub fn run(scale: Scale) -> Table {
 
     // ---- Phase A: deterministic lifecycle gate (obs stays enabled). ----
     {
-        let shared = SharedDatabase::new(db.clone());
+        let shared = EpochDb::new(db.clone());
         let slow = shared.pin(); // the slow subscriber pins epoch 0
         let frozen = observe(slow.db(), cq);
         let mut checks = 0usize;
         for (i, step) in script.iter().enumerate() {
             match step {
-                Step::Advance(n) => shared.advance_clock(*n),
+                Step::Advance(n) => shared.commit(|d| d.advance_clock(*n)),
                 Step::Batch(ops) => shared.apply_updates(ops).expect("script ops are valid"),
             }
             let pin = shared.pin();
@@ -351,13 +351,13 @@ pub fn run(scale: Scale) -> Table {
                 i + 1
             );
             checks += 1;
-            let st = shared.epoch_stats();
+            let st = shared.stats();
             assert_eq!(st.created, st.retired + st.live, "conservation: {st:?}");
             assert!(st.live <= 3, "unbounded epoch retention: {st:?}");
         }
         assert_eq!(observe(slow.db(), cq), frozen, "pinned epoch 0 mutated");
         drop(slow);
-        let st = shared.epoch_stats();
+        let st = shared.stats();
         assert_eq!(st.live, 1, "slow subscriber's epoch failed to retire: {st:?}");
         table.row(vec![
             "A lifecycle".into(),

@@ -70,7 +70,7 @@ impl Engine {
         match self {
             Engine::Single(e) => rec.attach(e),
             Engine::Sharded(s) => rec.attach_sharded(s),
-            Engine::Durable(d) => rec.attach_durable(d),
+            Engine::Durable(d) => rec.attach(d.epochs()),
         }
     }
 

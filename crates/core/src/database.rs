@@ -30,8 +30,8 @@ pub struct MotionUpdate {
 
 /// One explicit update, for batched application via
 /// [`Database::apply_updates`]: a whole batch shares a single refresh pass
-/// (and, through [`crate::shared::SharedDatabase::apply_updates`], a single
-/// lock acquisition).
+/// (and, through [`crate::epoch::EpochDb::apply_updates`], a single
+/// published epoch).
 #[derive(Debug, Clone, PartialEq)]
 pub enum UpdateOp {
     /// Change an object's motion vector (position continues).
@@ -134,8 +134,6 @@ pub struct Database {
     // Refresh-engine knobs (runtime tuning, not part of the persisted
     // state: a loaded database starts at the defaults).
     refresh_filtering: bool,
-    refresh_workers: usize,
-    eval_workers: usize,
     // Compiled-plan machinery (derived acceleration state, not part of the
     // persisted snapshot: plans recompile lazily after loading).
     compiled_plans: bool,
@@ -192,8 +190,6 @@ impl most_testkit::ser::FromJson for Database {
             spatial_index: None,
             stats: most_testkit::ser::FromJson::from_json(j.field("stats")?)?,
             refresh_filtering: true,
-            refresh_workers: 1,
-            eval_workers: 1,
             compiled_plans: true,
             plans: BTreeMap::new(),
             plan_generation: 0,
@@ -322,8 +318,6 @@ impl Database {
             spatial_index: None,
             stats: DbStats::default(),
             refresh_filtering: true,
-            refresh_workers: 1,
-            eval_workers: 1,
             compiled_plans: true,
             plans: BTreeMap::new(),
             plan_generation: 0,
@@ -372,30 +366,6 @@ impl Database {
     /// Whether dependency-set filtering is enabled.
     pub fn refresh_filtering(&self) -> bool {
         self.refresh_filtering
-    }
-
-    /// Sets how many worker threads a refresh pass may use to re-evaluate
-    /// queries concurrently (1 = serial, the default).
-    pub fn set_refresh_workers(&mut self, workers: usize) {
-        self.refresh_workers = workers.max(1);
-    }
-
-    /// The refresh worker count.
-    pub fn refresh_workers(&self) -> usize {
-        self.refresh_workers
-    }
-
-    /// Sets how many worker threads a *single* evaluation may use to shard
-    /// its per-object candidate loops (1 = serial, the default).  Refresh
-    /// passes that already shard across queries evaluate each query
-    /// serially to avoid nested thread pools.
-    pub fn set_eval_workers(&mut self, workers: usize) {
-        self.eval_workers = workers.max(1);
-    }
-
-    /// The per-evaluation worker count.
-    pub fn eval_workers(&self) -> usize {
-        self.eval_workers
     }
 
     /// Enables/disables compiled query plans for continuous queries (on by
@@ -789,9 +759,8 @@ impl Database {
     /// The pass runs in three steps: (1) dependency filtering — queries
     /// whose [`DepSet`](crate::deps::DepSet) no change can affect are
     /// skipped outright (`skipped_refreshes`); (2) evaluation — the
-    /// remaining queries re-evaluate, sharded over
-    /// [`Database::refresh_workers`] threads in [`RefreshMode::Full`];
-    /// (3) merge — answers merge serially at the clock-tick boundary.
+    /// remaining queries re-evaluate one after another; (3) merge —
+    /// answers merge at the clock-tick boundary.
     fn after_updates(&mut self, changes: &[(u64, UpdateKind)]) -> CoreResult<()> {
         self.stats.updates += changes.len() as u64;
         if changes.is_empty() || self.continuous.is_empty() {
@@ -883,28 +852,17 @@ impl Database {
                 full.push((id, query));
             }
         }
-        // Step 2/3 for full refreshes: evaluate (possibly in parallel),
-        // then merge serially.  Plan states travel with their queries so
-        // worker threads can replay and refill the atom caches; every state
-        // is reinserted before any result is inspected, so an evaluation
-        // error cannot leak plans.
+        // Step 2/3 for full refreshes: evaluate, then merge.  Plan states
+        // travel with their queries so evaluation can replay and refill the
+        // atom caches; every state comes back and is reinserted, also when
+        // its query's evaluation failed.
         let plan_states: Vec<Option<PlanState>> =
             full.iter().map(|(id, _)| self.plans.remove(id)).collect();
-        let results = crate::refresh::evaluate_refresh_set(
-            self,
-            &full,
-            plan_states,
-            self.refresh_workers,
-            self.eval_workers,
-        );
-        let mut merged = Vec::with_capacity(results.len());
+        let results = crate::refresh::evaluate_refresh_set(self, &full, plan_states);
         for (id, result, nanos, state) in results {
             if let Some(state) = state {
                 self.plans.insert(id, state);
             }
-            merged.push((id, result, nanos));
-        }
-        for (id, result, nanos) in merged {
             match result {
                 Ok(fresh) => self.continuous.refresh(id, boundary, fresh, nanos),
                 Err(e) => {
@@ -982,20 +940,13 @@ impl Database {
 
     /// Evaluates a query on the implicit future history starting now and
     /// returns the answer in **global** clock ticks.
-    fn evaluate_global(&self, q: &Query) -> CoreResult<Answer> {
-        self.evaluate_global_with(q, self.eval_workers)
-    }
-
-    /// [`Database::evaluate_global`] with an explicit per-evaluation worker
-    /// count — the refresh engine passes 1 when it already shards across
-    /// queries, to avoid nested thread pools.
-    pub(crate) fn evaluate_global_with(&self, q: &Query, eval_workers: usize) -> CoreResult<Answer> {
+    pub(crate) fn evaluate_global(&self, q: &Query) -> CoreResult<Answer> {
         if let Some(marker) = &self.eval_fault {
             if DepSet::of_query(q).attrs.contains(marker) {
                 panic!("injected evaluation fault: attribute `{marker}`");
             }
         }
-        let ctx = self.current_context().with_eval_workers(eval_workers);
+        let ctx = self.current_context();
         let local = evaluate_query(&ctx, q)?;
         Ok(shift_answer(local, self.clock))
     }
@@ -1004,34 +955,30 @@ impl Database {
     /// any query that reads the named attribute panics at evaluation entry.
     /// This is the deterministic stand-in for "a query evaluation
     /// panicked" used by the panic-safety regression tests — the panic
-    /// travels the exact production path (refresh workers, epoch writers,
+    /// travels the exact production path (refresh pass, epoch writers,
     /// server sessions) without depending on an evaluator bug to trigger
     /// it.  Never set outside tests.
     pub fn set_eval_fault(&mut self, attr: Option<String>) {
         self.eval_fault = attr;
     }
 
-    /// [`Database::evaluate_global_with`] through a compiled plan: cached
-    /// atom relations are replayed verbatim, freshly computed ones are
+    /// [`Database::evaluate_global`] through a compiled plan: cached atom
+    /// relations are replayed verbatim, freshly computed ones are
     /// harvested back into the plan's cache for the next refresh.
-    pub(crate) fn evaluate_global_with_plan(
-        &self,
-        state: &mut PlanState,
-        eval_workers: usize,
-    ) -> CoreResult<Answer> {
+    pub(crate) fn evaluate_global_with_plan(&self, state: &mut PlanState) -> CoreResult<Answer> {
         if let Some(marker) = &self.eval_fault {
             if state.atom_deps.iter().any(|(_, d)| d.attrs.contains(marker)) {
                 panic!("injected evaluation fault: attribute `{marker}`");
             }
         }
-        let ctx = self.current_context().with_eval_workers(eval_workers);
+        let ctx = self.current_context();
         let local = most_ftl::evaluate_compiled(&ctx, &state.plan, &mut state.cache)?;
         Ok(shift_answer(local, self.clock))
     }
 
     /// Evaluates an instantaneous query without mutating statistics —
-    /// the read-path used by [`crate::shared::SharedDatabase`] so that
-    /// concurrent readers need no write lock.
+    /// the read-path used on pinned epochs ([`crate::epoch::EpochPin`]) so
+    /// that concurrent readers need no write lock.
     pub fn instantaneous_readonly(&self, q: &Query) -> CoreResult<Answer> {
         self.evaluate_global(q)
     }

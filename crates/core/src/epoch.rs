@@ -32,8 +32,8 @@
 //!
 //! Accounting is exposed two ways: [`EpochDb::stats`] returns an
 //! [`EpochStats`] snapshot obeying the conservation invariant
-//! `created == retired + live` (usable even with `most-obs` stubbed out),
-//! and the `epoch.current` / `epoch.pinned` gauges plus the
+//! `created == retired + live` (usable with the `most-obs` registry
+//! switched off), and the `epoch.current` / `epoch.pinned` gauges plus the
 //! `epoch.retired` / `epoch.published` / `epoch.batches` counters mirror
 //! the same numbers into the metrics registry.
 
@@ -277,9 +277,8 @@ impl EpochDb {
     }
 
     /// Buffered mutation followed by an immediate publish: the classic
-    /// read-committed write path ([`SharedDatabase::write`] uses this).
-    ///
-    /// [`SharedDatabase::write`]: crate::shared::SharedDatabase::write
+    /// read-committed write path (a completed write is visible to every
+    /// later pin).
     pub fn commit<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         let r = self.write(f);
         self.advance_epoch();
@@ -430,6 +429,8 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, crate::error::CoreError::UnknownObject(999)));
+        // The first op applied; the one after the failure did not.
+        assert_eq!(edb.pin().stats.updates, 1);
         let s = edb.stats();
         // One batch, one epoch — even on error the applied prefix
         // publishes immediately rather than merging into a later batch.
@@ -478,5 +479,108 @@ mod tests {
         let fresh = edb.pin();
         assert!(fresh.db().continuous_evaluations() + fresh.db().noop_refreshes() > evals_before);
         assert!(fresh.db().continuous_display(cq, fresh.db().now()).is_ok());
+    }
+
+    // Shared-handle behaviour: many threads read through clones of one
+    // `EpochDb` while another writes through `commit`/`apply_updates`.
+
+    fn world() -> (EpochDb, u64) {
+        let mut db = Database::new(10_000);
+        let car = db.insert_moving_object("cars", Point::origin(), Velocity::new(1.0, 0.0));
+        db.add_region("P", Polygon::rectangle(100.0, -50.0, 300.0, 50.0));
+        (EpochDb::new(db), car)
+    }
+
+    #[test]
+    fn concurrent_readers_and_one_writer() {
+        let (db, car) = world();
+        let q = Query::parse("RETRIEVE o WHERE Eventually within 500 INSIDE(o, P)").unwrap();
+        let mut readers = Vec::new();
+        for _ in 0..4 {
+            let db = db.clone();
+            let q = q.clone();
+            readers.push(std::thread::spawn(move || {
+                let mut non_empty = 0usize;
+                for _ in 0..50 {
+                    let a = db.pin().instantaneous_readonly(&q).expect("query evaluates");
+                    if !a.is_empty() {
+                        non_empty += 1;
+                    }
+                }
+                non_empty
+            }));
+        }
+        let writer = {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                for i in 0..50 {
+                    db.commit(|d| d.advance_clock(1));
+                    if i % 10 == 0 {
+                        db.commit(|d| {
+                            d.update_motion(car, Velocity::new(1.0, 0.1 * (i % 3) as f64))
+                        })
+                        .expect("update applies");
+                    }
+                }
+            })
+        };
+        writer.join().expect("writer thread");
+        for r in readers {
+            // The car heads towards P throughout: every evaluation finds it.
+            assert_eq!(r.join().expect("reader thread"), 50);
+        }
+        assert_eq!(db.pin().now(), 50);
+        // Every write above published one epoch; with no pins held only
+        // the published one stays alive.
+        let s = db.stats();
+        assert_eq!(s.created, s.retired + s.live);
+        assert_eq!(s.live, 1);
+    }
+
+    #[test]
+    fn handles_share_state() {
+        let (db, car) = world();
+        let other = db.clone();
+        other.commit(|d| d.advance_clock(10));
+        assert_eq!(db.pin().now(), 10);
+        db.commit(|d| d.update_motion(car, Velocity::zero())).unwrap();
+        assert_eq!(other.pin().object(car).unwrap().velocity_at(10), Some(Velocity::zero()));
+        db.commit(|d| d.add_region("Q", Polygon::rectangle(0.0, 0.0, 1.0, 1.0)));
+        assert!(other.pin().region("Q").is_some());
+    }
+
+    #[test]
+    fn batched_updates_take_one_refresh_pass() {
+        let (db, car) = world();
+        let q = Query::parse("RETRIEVE o WHERE Eventually within 500 INSIDE(o, P)").unwrap();
+        db.commit(|d| d.register_continuous(q)).unwrap();
+        let baseline = db.pin().continuous_evaluations();
+        db.apply_updates(&[
+            UpdateOp::Motion { id: car, velocity: Velocity::new(2.0, 0.0) },
+            UpdateOp::Motion { id: car, velocity: Velocity::new(3.0, 0.0) },
+            UpdateOp::Static {
+                id: car,
+                attr: "PRICE".into(),
+                value: most_dbms::value::Value::from(9.0),
+            },
+        ])
+        .unwrap();
+        let d = db.pin();
+        // One refresh pass for the whole batch: at most one evaluation
+        // (answer-changing or not) on top of the baseline.
+        assert!(d.continuous_evaluations() + d.noop_refreshes() <= baseline + 1);
+        assert_eq!(d.stats.updates, 3);
+        // The final velocity is the last one in the batch.
+        assert_eq!(d.object(car).unwrap().velocity_at(d.now()), Some(Velocity::new(3.0, 0.0)));
+    }
+
+    #[test]
+    fn readonly_queries_do_not_bump_stats() {
+        let (db, _) = world();
+        let q = Query::parse("RETRIEVE o WHERE true").unwrap();
+        let _ = db.pin().instantaneous_readonly(&q).unwrap();
+        assert_eq!(db.pin().stats.instantaneous_queries, 0);
+        // Reads publish nothing: still epoch 0.
+        assert_eq!(db.stats().current, 0);
     }
 }

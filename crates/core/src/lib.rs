@@ -35,7 +35,6 @@ pub mod persistent;
 mod refresh;
 pub mod rewrite;
 pub mod sharded;
-pub mod shared;
 pub mod snapshot;
 pub mod trigger;
 pub mod wal;
@@ -52,6 +51,5 @@ pub use object::MovingObject;
 pub use persistent::PersistentQuery;
 pub use rewrite::MostDbmsLayer;
 pub use sharded::{CutPin, ShardCut, ShardRouting, ShardedDb, ShardedDbBuilder};
-pub use shared::SharedDatabase;
 pub use trigger::{Trigger, TriggerEvent};
 pub use wal::{apply_record, recover, DurableDb, Recovery, Wal, WalConfig, WalRecord};

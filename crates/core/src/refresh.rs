@@ -1,16 +1,11 @@
-//! Parallel refresh evaluation for the continuous-query engine.
+//! Refresh evaluation for the continuous-query engine.
 //!
 //! After dependency filtering (`Database::after_updates`), the queries
 //! that must re-evaluate are independent of one another: each reads the
-//! database immutably and produces a fresh [`Answer`].  This module fans
-//! that evaluation work across [`std::thread::scope`] workers; merging
-//! back into the registry stays serial in the caller (it mutates shared
-//! state and is cheap compared to evaluation).
-//!
-//! Worker shards evaluate their queries with `eval_workers = 1`: the two
-//! parallelism levels (across queries here, across candidate objects in
-//! `most_ftl::eval`) are never nested, so the thread count stays bounded
-//! by whichever level is active.
+//! database immutably and produces a fresh [`Answer`].  This module
+//! evaluates them one after another, each under its own `catch_unwind`;
+//! merging back into the registry stays in the caller (it mutates shared
+//! state).
 
 use crate::database::{Database, PlanState};
 use crate::error::{CoreError, CoreResult};
@@ -19,105 +14,31 @@ use most_ftl::Query;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Re-evaluates every query in `queries` against the current database
-/// state, using up to `workers` threads.  `plans` travels in parallel to
-/// `queries`: a `Some` entry evaluates through its compiled plan (replaying
-/// and refilling the per-atom cache), a `None` entry interprets the AST.
-/// Returns, per query, its id, the evaluation result, the evaluation's
+/// state.  `plans` travels in parallel to `queries`: a `Some` entry
+/// evaluates through its compiled plan (replaying and refilling the
+/// per-atom cache), a `None` entry interprets the AST.  Returns, per query
+/// and in input order, its id, the evaluation result, the evaluation's
 /// wall-clock cost in nanoseconds, and the plan state handed back to the
-/// caller.  Result order matches input order regardless of worker count,
-/// so the caller's serial merge is deterministic.
+/// caller.
 pub(crate) fn evaluate_refresh_set(
     db: &Database,
     queries: &[(u64, Query)],
     mut plans: Vec<Option<PlanState>>,
-    workers: usize,
-    eval_workers: usize,
 ) -> Vec<(u64, CoreResult<Answer>, u64, Option<PlanState>)> {
     debug_assert_eq!(plans.len(), queries.len());
     plans.resize_with(queries.len(), || None);
-    let workers = workers.max(1).min(queries.len().max(1));
-    if workers <= 1 {
-        most_obs::add("refresh.shards", u64::from(!queries.is_empty()));
-        let out: Vec<_> = queries
-            .iter()
-            .zip(plans)
-            .map(|((id, q), mut plan)| {
-                let (result, nanos) = timed_eval(db, q, &mut plan, eval_workers);
-                (*id, result, nanos, plan)
-            })
-            .collect();
-        for (_, _, nanos, _) in &out {
-            most_obs::observe("refresh.query_nanos", *nanos);
-        }
-        return out;
-    }
-    let chunk = queries.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(queries.len());
-    let mut shard_nanos = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for shard in queries.chunks(chunk) {
-            let rest = plans.split_off(shard.len().min(plans.len()));
-            let shard_plans = std::mem::replace(&mut plans, rest);
-            handles.push(scope.spawn(move || {
-                let start = std::time::Instant::now();
-                let results = shard
-                    .iter()
-                    .zip(shard_plans)
-                    .map(|((id, q), mut plan)| {
-                        let (result, nanos) = timed_eval(db, q, &mut plan, 1);
-                        (*id, result, nanos, plan)
-                    })
-                    .collect::<Vec<_>>();
-                (results, start.elapsed().as_nanos() as u64)
-            }));
-        }
-        for (handle, shard) in handles.into_iter().zip(queries.chunks(chunk)) {
-            // `timed_eval` catches per-query panics, so a worker thread
-            // dying is out-of-band (allocation failure, catch_unwind
-            // escape).  Even then the refresh pass must survive: synthesize
-            // an `EvalPanic` failure for each query the dead worker owned
-            // instead of propagating the panic into the caller — which
-            // would poison the `SharedDatabase` lock and wedge the server.
-            match handle.join() {
-                Ok((results, nanos)) => {
-                    out.extend(results);
-                    shard_nanos.push(nanos);
-                }
-                Err(payload) => {
-                    most_obs::inc("refresh.worker_panics");
-                    let msg = panic_message(&payload);
-                    out.extend(shard.iter().map(|(id, _)| {
-                        (
-                            *id,
-                            Err(CoreError::EvalPanic(format!(
-                                "refresh worker died: {msg}"
-                            ))),
-                            0,
-                            None,
-                        )
-                    }));
-                }
-            }
-        }
-    });
-    // Registry traffic stays out of the worker loops: one batch here.
-    most_obs::add("refresh.shards", shard_nanos.len() as u64);
-    for nanos in shard_nanos {
-        most_obs::observe("refresh.shard_nanos", nanos);
-    }
-    for (_, _, nanos, _) in &out {
-        most_obs::observe("refresh.query_nanos", *nanos);
-    }
-    out
+    queries
+        .iter()
+        .zip(plans)
+        .map(|((id, q), mut plan)| {
+            let (result, nanos) = timed_eval(db, q, &mut plan);
+            most_obs::observe("refresh.query_nanos", nanos);
+            (*id, result, nanos, plan)
+        })
+        .collect()
 }
 
-fn timed_eval(
-    db: &Database,
-    q: &Query,
-    plan: &mut Option<PlanState>,
-    eval_workers: usize,
-) -> (CoreResult<Answer>, u64) {
+fn timed_eval(db: &Database, q: &Query, plan: &mut Option<PlanState>) -> (CoreResult<Answer>, u64) {
     let start = std::time::Instant::now();
     // Evaluation runs arbitrary FTL over arbitrary trajectories; a panic in
     // one query must fail only that query's refresh, not abort the whole
@@ -125,8 +46,8 @@ fn timed_eval(
     // discarded below (its per-atom cache may be half-written), and `db` is
     // only read.
     let result = match catch_unwind(AssertUnwindSafe(|| match plan {
-        Some(state) => db.evaluate_global_with_plan(state, eval_workers),
-        None => db.evaluate_global_with(q, eval_workers),
+        Some(state) => db.evaluate_global_with_plan(state),
+        None => db.evaluate_global(q),
     })) {
         Ok(result) => result,
         Err(payload) => {
@@ -140,7 +61,7 @@ fn timed_eval(
     (result, start.elapsed().as_nanos() as u64)
 }
 
-/// Renders a `catch_unwind`/`join` payload: `&str` and `String` payloads
+/// Renders a `catch_unwind` payload: `&str` and `String` payloads
 /// (everything `panic!` produces in practice) verbatim, anything else
 /// generically.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -172,7 +93,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
+    fn compiled_plans_match_interpreter() {
         let db = db_with_cars(40);
         let queries: Vec<(u64, Query)> = (0..8)
             .map(|i| {
@@ -184,54 +105,26 @@ mod tests {
                 (i, q.unwrap())
             })
             .collect();
-        let serial = evaluate_refresh_set(&db, &queries, vec![None; queries.len()], 1, 1);
-        for workers in [2, 4, 8, 16] {
-            let parallel =
-                evaluate_refresh_set(&db, &queries, vec![None; queries.len()], workers, 1);
-            assert_eq!(parallel.len(), serial.len());
-            for ((sid, sres, _, _), (pid, pres, _, _)) in serial.iter().zip(&parallel) {
-                assert_eq!(sid, pid, "result order must match input order");
-                assert_eq!(
-                    sres.as_ref().unwrap(),
-                    pres.as_ref().unwrap(),
-                    "answers must not depend on worker count"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn compiled_plans_match_interpreter_across_workers() {
-        let db = db_with_cars(40);
-        let queries: Vec<(u64, Query)> = (0..8)
-            .map(|i| {
-                let q = if i % 2 == 0 {
-                    Query::parse("RETRIEVE o WHERE Eventually within 200 INSIDE(o, P)")
-                } else {
-                    Query::parse("RETRIEVE o WHERE OUTSIDE(o, P)")
-                };
-                (i, q.unwrap())
-            })
+        let interpreted = evaluate_refresh_set(&db, &queries, vec![None; queries.len()]);
+        let plans = queries
+            .iter()
+            .map(|(_, q)| Some(PlanState::compile(q)))
             .collect();
-        let interpreted = evaluate_refresh_set(&db, &queries, vec![None; queries.len()], 1, 1);
-        for workers in [1, 4] {
-            let plans = queries.iter().map(|(_, q)| Some(PlanState::compile(q))).collect();
-            let compiled = evaluate_refresh_set(&db, &queries, plans, workers, 1);
-            for ((sid, sres, _, _), (pid, pres, _, plan)) in interpreted.iter().zip(&compiled) {
-                assert_eq!(sid, pid);
-                assert_eq!(
-                    sres.as_ref().unwrap(),
-                    pres.as_ref().unwrap(),
-                    "compiled plans must reproduce interpreter answers"
-                );
-                assert!(plan.is_some(), "plan state must come back to the caller");
-            }
+        let compiled = evaluate_refresh_set(&db, &queries, plans);
+        for ((sid, sres, _, _), (pid, pres, _, plan)) in interpreted.iter().zip(&compiled) {
+            assert_eq!(sid, pid);
+            assert_eq!(
+                sres.as_ref().unwrap(),
+                pres.as_ref().unwrap(),
+                "compiled plans must reproduce interpreter answers"
+            );
+            assert!(plan.is_some(), "plan state must come back to the caller");
         }
     }
 
     #[test]
     fn empty_set_is_fine() {
         let db = db_with_cars(1);
-        assert!(evaluate_refresh_set(&db, &[], Vec::new(), 4, 1).is_empty());
+        assert!(evaluate_refresh_set(&db, &[], Vec::new()).is_empty());
     }
 }

@@ -221,9 +221,7 @@ impl CutPin {
     }
 
     /// Runs `f` against every pinned shard in parallel (scoped threads,
-    /// one per shard), returning results in shard order.  Shard-level
-    /// evaluation keeps `eval_workers = 1` semantics per shard: the
-    /// cross-shard threads *are* the parallelism level.
+    /// one per shard), returning results in shard order.
     fn scatter<R: Send>(
         &self,
         f: impl Fn(&Database) -> CoreResult<R> + Sync,

@@ -13,10 +13,9 @@
 //! live`, a long-pinned reader keeps exactly one old epoch alive) and
 //! the one-batch-one-epoch guarantee, including the error path.  All
 //! assertions go through [`most_core::EpochStats`] rather than `obs`
-//! counters, so the whole file runs unchanged under
-//! `--no-default-features` (obs stubs).
+//! counters, so they hold whether or not the registry is switched on.
 
-use most_core::{Database, EpochDb, SharedDatabase, UpdateOp};
+use most_core::{Database, EpochDb, UpdateOp};
 use most_dbms::value::Value;
 use most_ftl::Query;
 use most_spatial::{Point, Polygon, Rect, Velocity};
@@ -144,7 +143,7 @@ fn run_schedule(seed: u64) -> usize {
     let (db, ids, cq) = build_world(seed);
     let script = gen_script(seed, &ids);
     let expected = oracle(&db, &script, cq);
-    let shared = SharedDatabase::new(db);
+    let shared = EpochDb::new(db);
     let readers = 2 + (seed as usize % 3);
     let pins_per_reader = 8 + (seed as usize % 5);
     let mut checks = 0usize;
@@ -155,7 +154,7 @@ fn run_schedule(seed: u64) -> usize {
             s.spawn(move || {
                 for step in script {
                     match step {
-                        Step::Advance(n) => shared.advance_clock(*n),
+                        Step::Advance(n) => shared.commit(|d| d.advance_clock(*n)),
                         Step::Batch(ops) => {
                             let _ = shared.apply_updates(ops);
                         }
@@ -202,7 +201,7 @@ fn run_schedule(seed: u64) -> usize {
     assert_eq!(fin.epoch() as usize, script.len(), "seed {seed}: one epoch per step");
     assert_eq!(observe(fin.db(), cq), expected[script.len()], "seed {seed}: final state");
     drop(fin);
-    let st = shared.epoch_stats();
+    let st = shared.stats();
     assert_eq!(st.created, st.retired + st.live, "seed {seed}: conservation: {st:?}");
     assert_eq!(st.live, 1, "seed {seed}: old epochs leaked: {st:?}");
     assert_eq!(st.created, script.len() as u64 + 1);
@@ -230,7 +229,7 @@ fn sixty_four_seeded_schedules_preserve_snapshot_isolation() {
 #[test]
 fn long_pinned_reader_keeps_one_epoch_alive_with_bounded_memory() {
     let (db, ids, cq) = build_world(7);
-    let shared = SharedDatabase::new(db);
+    let shared = EpochDb::new(db);
     let slow = shared.pin();
     let frozen = observe(slow.db(), cq);
     for i in 1..=64u64 {
@@ -240,8 +239,8 @@ fn long_pinned_reader_keeps_one_epoch_alive_with_bounded_memory() {
                 velocity: Velocity::new(1.0, 0.5),
             }])
             .unwrap();
-        shared.advance_clock(1);
-        let st = shared.epoch_stats();
+        shared.commit(|d| d.advance_clock(1));
+        let st = shared.stats();
         assert_eq!(st.current, 2 * i);
         assert_eq!(st.created, st.retired + st.live, "conservation at step {i}: {st:?}");
         assert_eq!(st.live, 2, "bounded memory violated at step {i}: {st:?}");
@@ -251,7 +250,7 @@ fn long_pinned_reader_keeps_one_epoch_alive_with_bounded_memory() {
     assert_eq!(observe(slow.db(), cq), frozen);
     // Releasing the slow subscriber retires its epoch immediately.
     drop(slow);
-    let st = shared.epoch_stats();
+    let st = shared.stats();
     assert_eq!(st.live, 1);
     assert_eq!(st.retired, st.created - 1, "epoch.retired failed to catch up: {st:?}");
 }
@@ -305,7 +304,7 @@ fn error_batches_race_readers_without_tearing() {
             })
             .collect();
         let expected = oracle(&db, &script, cq);
-        let shared = SharedDatabase::new(db);
+        let shared = EpochDb::new(db);
         thread::scope(|s| {
             let writer = {
                 let shared = shared.clone();
@@ -331,6 +330,6 @@ fn error_batches_race_readers_without_tearing() {
             }
             writer.join().expect("writer");
         });
-        assert_eq!(shared.epoch_stats().current as usize, script.len());
+        assert_eq!(shared.stats().current as usize, script.len());
     }
 }

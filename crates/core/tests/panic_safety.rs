@@ -1,20 +1,19 @@
 //! Regression tests: a panicking query evaluation must not terminate the
 //! refresh pass (PR 9 satellite bugfix).
 //!
-//! Before the fix, `evaluate_refresh_set` joined its workers with
-//! `.expect("refresh worker panicked")`: one panicking evaluation aborted
-//! the entire refresh, unwound through `SharedDatabase::write`, poisoned
-//! the epoch writer lock, and wedged every later mutation.  Now the panic
+//! Before the fix, one panicking evaluation aborted the entire refresh,
+//! unwound through `EpochDb::write`, poisoned the epoch writer lock, and
+//! wedged every later mutation.  Now the panic
 //! is caught at the evaluation boundary: only the offending query's
 //! refresh fails (with `CoreError::EvalPanic`), every other query
 //! refreshes, and the batch's mutations stay applied.
 //!
 //! The deliberately panicking evaluation comes from
 //! `Database::set_eval_fault`: queries reading the armed attribute panic
-//! at evaluation entry, on the exact production path (refresh workers,
+//! at evaluation entry, on the exact production path (refresh pass,
 //! epoch writers).
 
-use most_core::{CoreError, Database, SharedDatabase, UpdateOp};
+use most_core::{CoreError, Database, EpochDb, UpdateOp};
 use most_ftl::Query;
 use most_spatial::{Point, Polygon, Velocity};
 
@@ -24,9 +23,8 @@ const BOOM: &str = "BOOM";
 /// the armed attribute, and a healthy spatial CQ.  Returns
 /// `(db, faulty_cq, healthy_cq)`; the fault is armed after registration
 /// (registration itself must evaluate cleanly).
-fn armed_db(n: u64, workers: usize) -> (Database, u64, u64) {
+fn armed_db(n: u64) -> (Database, u64, u64) {
     let mut db = Database::new(300);
-    db.set_refresh_workers(workers);
     for i in 0..n {
         let id = db.insert_moving_object(
             "cars",
@@ -65,61 +63,54 @@ fn motion_batch(n: u64) -> Vec<UpdateOp> {
 
 #[test]
 fn panicking_evaluation_fails_only_that_query() {
-    for workers in [1, 4] {
-        let (mut db, faulty, healthy) = armed_db(8, workers);
-        let healthy_before = db.continuous_answer(healthy).unwrap().clone();
+    let (mut db, faulty, healthy) = armed_db(8);
+    let healthy_before = db.continuous_answer(healthy).unwrap().clone();
 
-        // The refresh pass must survive the panic and report it as an error.
-        let err = db.apply_updates(&motion_batch(8)).unwrap_err();
-        assert!(
-            matches!(err, CoreError::EvalPanic(_)),
-            "workers={workers}: expected EvalPanic, got {err:?}"
-        );
+    // The refresh pass must survive the panic and report it as an error.
+    let err = db.apply_updates(&motion_batch(8)).unwrap_err();
+    assert!(matches!(err, CoreError::EvalPanic(_)), "expected EvalPanic, got {err:?}");
 
-        // The mutations stayed applied and the healthy CQ refreshed.
-        let now = db.now();
-        assert_eq!(
-            db.object(1).unwrap().velocity_at(now),
-            Some(Velocity::new(2.0, 0.0))
-        );
-        let healthy_after = db.continuous_answer(healthy).unwrap();
-        assert_ne!(
-            healthy_before, *healthy_after,
-            "workers={workers}: healthy CQ must refresh past the panic"
-        );
-        // The faulty CQ still serves its pre-batch materialized answer.
-        assert!(db.continuous_answer(faulty).is_ok());
+    // The mutations stayed applied and the healthy CQ refreshed.
+    let now = db.now();
+    assert_eq!(
+        db.object(1).unwrap().velocity_at(now),
+        Some(Velocity::new(2.0, 0.0))
+    );
+    let healthy_after = db.continuous_answer(healthy).unwrap();
+    assert_ne!(
+        healthy_before, *healthy_after,
+        "healthy CQ must refresh past the panic"
+    );
+    // The faulty CQ still serves its pre-batch materialized answer.
+    assert!(db.continuous_answer(faulty).is_ok());
 
-        // The database is not wedged: disarm and mutate again cleanly.
-        db.set_eval_fault(None);
-        db.apply_updates(&motion_batch(8)).unwrap();
-    }
+    // The database is not wedged: disarm and mutate again cleanly.
+    db.set_eval_fault(None);
+    db.apply_updates(&motion_batch(8)).unwrap();
 }
 
 #[test]
 fn panicking_evaluation_is_counted_and_survives_under_incremental_mode() {
-    let (mut db, _faulty, _healthy) = armed_db(4, 1);
+    let (mut db, _faulty, _healthy) = armed_db(4);
     db.set_refresh_mode(most_core::RefreshMode::Incremental);
     let before = most_obs::counter_value("refresh.worker_panics");
     let err = db.apply_updates(&motion_batch(4)).unwrap_err();
     assert!(matches!(err, CoreError::EvalPanic(_)));
-    if cfg!(feature = "obs") {
-        assert!(
-            most_obs::counter_value("refresh.worker_panics") > before,
-            "panic must be counted in refresh.worker_panics"
-        );
-    }
+    assert!(
+        most_obs::counter_value("refresh.worker_panics") > before,
+        "panic must be counted in refresh.worker_panics"
+    );
     db.set_eval_fault(None);
     db.apply_updates(&motion_batch(4)).unwrap();
 }
 
 #[test]
-fn shared_database_survives_panicking_refresh() {
+fn epoch_db_survives_panicking_refresh() {
     // The epoch-writer path: before the fix the panic unwound through
     // `EpochDb::write` and poisoned the writer lock; every later mutation
     // then panicked on `.expect("epoch writer lock poisoned")`.
-    let (db, _faulty, healthy) = armed_db(6, 4);
-    let shared = SharedDatabase::new(db);
+    let (db, _faulty, healthy) = armed_db(6);
+    let shared = EpochDb::new(db);
     let err = shared.apply_updates(&motion_batch(6)).unwrap_err();
     assert!(matches!(err, CoreError::EvalPanic(_)));
 
@@ -133,7 +124,7 @@ fn shared_database_survives_panicking_refresh() {
     assert!(pin.continuous_answer(healthy).is_ok());
 
     // The writer lock is not poisoned: disarm and keep mutating.
-    shared.write(|db| db.set_eval_fault(None));
+    shared.commit(|db| db.set_eval_fault(None));
     shared.apply_updates(&motion_batch(6)).unwrap();
-    shared.advance_clock(1);
+    shared.commit(|db| db.advance_clock(1));
 }

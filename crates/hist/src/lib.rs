@@ -21,8 +21,7 @@
 //!
 //! Observability: the `hist.records` / `hist.segments` / `hist.pruned` /
 //! `hist.alibi_queries` / `hist.aggregate_refreshes` counters and the
-//! `hist.alibi_nanos` latency histogram ride the `most-obs` registry and
-//! compile to no-ops under `--no-default-features`.
+//! `hist.alibi_nanos` latency histogram ride the `most-obs` registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,7 +24,7 @@
 use crate::aggregate::WindowedAggregates;
 use crate::alibi::{alibi_intervals, alibi_oracle, Sample};
 use most_core::epoch::PublishObserver;
-use most_core::{Database, DurableDb, EpochDb, ShardedDb};
+use most_core::{Database, EpochDb, ShardedDb};
 use most_spatial::{MovingPoint, Point};
 use most_temporal::{Duration, Interval, IntervalSet, Tick};
 use std::collections::BTreeMap;
@@ -308,7 +308,8 @@ impl HistoryRecorder {
 
     /// Installs this recorder on a single-epoch engine and catches up on
     /// the already-published state (epochs published before installation
-    /// are not replayed).
+    /// are not replayed).  A durable engine attaches through its epoch
+    /// engine: `attach(durable.epochs())`.
     pub fn attach(self: &Arc<Self>, epochs: &EpochDb) {
         epochs.set_publish_observer(Some(self.observer()));
         self.record(epochs.pin().db());
@@ -322,12 +323,6 @@ impl HistoryRecorder {
         for shard in 0..cut.shard_count() {
             self.record(cut.shard(shard));
         }
-    }
-
-    /// Installs this recorder on a durable engine (the WAL wrapper's
-    /// inner epoch engine) and catches up on the recovered state.
-    pub fn attach_durable(self: &Arc<Self>, db: &DurableDb) {
-        self.attach(db.epochs());
     }
 
     /// Records one database state now; see [`HistoryStore::record`].

@@ -4,7 +4,7 @@
 //! Wolfson, Chamberlain, Dao: "Modeling and Querying Moving Objects",
 //! ICDE 1997).
 //!
-//! The server fronts a [`most_core::SharedDatabase`] over plain TCP with a
+//! The server fronts a [`most_core::EpochDb`] over plain TCP with a
 //! newline-delimited JSON wire protocol (see [`protocol`]).  Clients can:
 //!
 //! * evaluate FTL queries **instantaneously** (now), as **persistent**

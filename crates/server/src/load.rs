@@ -34,7 +34,7 @@ use crate::client::Client;
 use crate::protocol::CqDelta;
 use crate::server::{Server, ServerConfig};
 use most_core::wal::{DurableDb, WalConfig};
-use most_core::{Database, SharedDatabase, UpdateOp};
+use most_core::{Database, EpochDb, UpdateOp};
 use most_dbms::value::Value;
 use most_ftl::Query;
 use most_spatial::{Point, Polygon, Velocity};
@@ -193,7 +193,7 @@ pub fn run_correctness(spec: &LoadSpec) -> CorrectnessOutcome {
         outbox: 1 << 16,
         ..ServerConfig::default()
     };
-    let shared = SharedDatabase::new(db);
+    let shared = EpochDb::new(db);
     let server =
         Server::bind("127.0.0.1:0", shared.clone(), cfg).expect("bind ephemeral port");
     let addr: SocketAddr = server.local_addr();
@@ -284,7 +284,7 @@ pub fn run_correctness(spec: &LoadSpec) -> CorrectnessOutcome {
     // Epoch hygiene at quiescence: every mutation published exactly one
     // epoch, nothing stayed buffered, and with no request in flight only
     // the published snapshot is alive (`created == retired + live`).
-    let st = shared.epoch_stats();
+    let st = shared.stats();
     assert_eq!(st.created, st.retired + st.live, "epoch accounting leak: {st:?}");
     assert_eq!(st.live, 1, "server retained old epochs: {st:?}");
     assert_eq!(st.pending_batches, 0, "server left a batch buffered: {st:?}");
@@ -342,7 +342,7 @@ pub fn run_throughput(spec: &ThroughputSpec) -> ThroughputOutcome {
         outbox: 1 << 16,
         ..ServerConfig::default()
     };
-    let server = Server::bind("127.0.0.1:0", SharedDatabase::new(db), cfg)
+    let server = Server::bind("127.0.0.1:0", EpochDb::new(db), cfg)
         .expect("bind ephemeral port");
     let addr = server.local_addr();
     let texts = query_texts(&spec.load);

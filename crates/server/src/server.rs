@@ -42,7 +42,7 @@ use crate::protocol::{
 use most_core::continuous::display_delta;
 use most_core::sharded::{CutPin, ShardedDb};
 use most_core::wal::DurableDb;
-use most_core::{CoreError, CoreResult, EpochPin, SharedDatabase};
+use most_core::{CoreError, CoreResult, EpochDb, EpochPin};
 use most_dbms::value::Value;
 use most_ftl::answer::Answer;
 use most_ftl::Query;
@@ -115,9 +115,9 @@ impl Default for ServerConfig {
 /// behind a cross-shard cut.
 #[derive(Debug)]
 enum Engine {
-    /// A single [`SharedDatabase`], optionally write-ahead logged.
+    /// A single [`EpochDb`], optionally write-ahead logged.
     Single {
-        db: SharedDatabase,
+        db: EpochDb,
         /// When set, every mutation routes through the write-ahead log
         /// before publishing its epoch, and [`Request::Feed`] serves the
         /// committed record sequence.  `db` shares the same epoch engine,
@@ -182,7 +182,7 @@ impl Engine {
         match self {
             Engine::Single { durable: Some(d), .. } => d.advance_clock(ticks),
             Engine::Single { db, .. } => {
-                db.advance_clock(ticks);
+                db.commit(|d| d.advance_clock(ticks));
                 Ok(())
             }
             Engine::Sharded(s) => {
@@ -205,7 +205,7 @@ impl Engine {
             // The durable path logs the *text* so replay re-parses
             // identically.
             Engine::Single { durable: Some(d), .. } => d.register_continuous(text),
-            Engine::Single { db, .. } => db.write(|d| d.register_continuous(q)),
+            Engine::Single { db, .. } => db.commit(|d| d.register_continuous(q)),
             Engine::Sharded(s) => s.register_continuous(&q),
         }
     }
@@ -213,7 +213,7 @@ impl Engine {
     fn cancel_continuous(&self, cq: u64) -> CoreResult<()> {
         match self {
             Engine::Single { durable: Some(d), .. } => d.cancel_continuous(cq),
-            Engine::Single { db, .. } => db.write(|d| d.cancel_continuous(cq)),
+            Engine::Single { db, .. } => db.commit(|d| d.cancel_continuous(cq)),
             Engine::Sharded(s) => s.cancel_continuous(cq),
         }
     }
@@ -224,7 +224,7 @@ impl Engine {
     /// the server.
     fn snapshot_json(&self) -> Result<String, most_testkit::ser::JsonError> {
         match self {
-            Engine::Single { db, .. } => db.read(most_testkit::ser::to_json_string),
+            Engine::Single { db, .. } => most_testkit::ser::to_json_string(db.pin().db()),
             Engine::Sharded(s) => merged_cut_json(&s.pin())?.render(),
         }
     }
@@ -445,7 +445,7 @@ impl Server {
     /// ports.
     pub fn bind(
         addr: impl ToSocketAddrs,
-        db: SharedDatabase,
+        db: EpochDb,
         cfg: ServerConfig,
     ) -> io::Result<Server> {
         Server::bind_inner(addr, Engine::Single { db, durable: None }, cfg)
@@ -476,7 +476,7 @@ impl Server {
         durable: Arc<DurableDb>,
         cfg: ServerConfig,
     ) -> io::Result<Server> {
-        let db = SharedDatabase::from_epochs(durable.epochs().clone());
+        let db = durable.epochs().clone();
         Server::bind_inner(addr, Engine::Single { db, durable: Some(durable) }, cfg)
     }
 
@@ -492,8 +492,7 @@ impl Server {
         // caught up from a pin.
         let hist = HistoryRecorder::new(cfg.history);
         match &engine {
-            Engine::Single { durable: Some(d), .. } => hist.attach_durable(d),
-            Engine::Single { db, .. } => hist.attach(db.epochs()),
+            Engine::Single { db, .. } => hist.attach(db),
             Engine::Sharded(s) => hist.attach_sharded(s),
         }
         let shared = Arc::new(Shared {

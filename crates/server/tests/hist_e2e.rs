@@ -10,7 +10,7 @@
 
 use most_core::sharded::ShardedDbBuilder;
 use most_core::wal::{DurableDb, WalConfig};
-use most_core::{Database, SharedDatabase};
+use most_core::{Database, EpochDb};
 use most_hist::HistoryConfig;
 use most_server::client::{Client, ClientError};
 use most_server::protocol::{ErrorCode, Request, Response};
@@ -108,7 +108,7 @@ fn history_composes_with_single_server() {
         history: HistoryConfig { window: 25, ..HistoryConfig::unpruned(25) },
         ..ServerConfig::default()
     };
-    let server = Server::bind("127.0.0.1:0", SharedDatabase::new(db), cfg).unwrap();
+    let server = Server::bind("127.0.0.1:0", EpochDb::new(db), cfg).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let horizon = drive(&mut client, &ids, &plans);
     check_queries(&mut client, &server, &ids, horizon);
@@ -174,7 +174,7 @@ fn sharded_snapshot_matches_single_engine_bytes() {
     let single_ids = s.populate(&mut single_db, &plans);
     let single = Server::bind(
         "127.0.0.1:0",
-        SharedDatabase::new(single_db),
+        EpochDb::new(single_db),
         ServerConfig::default(),
     )
     .unwrap();

@@ -14,7 +14,7 @@
 //! at the worst possible point — with the mutation-order lock held.
 
 use most_core::sharded::{ShardRouting, ShardedDbBuilder};
-use most_core::{Database, SharedDatabase, UpdateOp};
+use most_core::{Database, EpochDb, UpdateOp};
 use most_dbms::value::Value;
 use most_server::client::{Client, ClientError};
 use most_server::protocol::{ErrorCode, Request, Response};
@@ -38,7 +38,7 @@ fn demo_db() -> Database {
 fn panicking_session_leaves_server_serving() {
     let cfg = ServerConfig { panic_trigger: Some(TRIGGER.into()), ..ServerConfig::default() };
     let server =
-        Server::bind("127.0.0.1:0", SharedDatabase::new(demo_db()), cfg).expect("bind");
+        Server::bind("127.0.0.1:0", EpochDb::new(demo_db()), cfg).expect("bind");
     let addr = server.local_addr();
 
     let mut driver = Client::connect(addr).unwrap();

@@ -5,7 +5,7 @@
 //! Randomness comes from the in-repo `most-testkit` RNG, so failures
 //! reproduce from the printed seed.
 
-use most_core::{Database, SharedDatabase};
+use most_core::{Database, EpochDb};
 use most_dbms::value::Value;
 use most_server::client::connect_with_retry;
 use most_server::protocol::{decode_response, ErrorCode, FrameReader, Response};
@@ -66,7 +66,7 @@ fn random_frame(rng: &mut Rng) -> Frame {
 #[test]
 fn malformed_frames_never_kill_the_session() {
     let cfg = ServerConfig { max_frame: MAX_FRAME, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", SharedDatabase::new(tiny_db()), cfg)
+    let server = Server::bind("127.0.0.1:0", EpochDb::new(tiny_db()), cfg)
         .expect("bind ephemeral port");
     let addr = server.local_addr();
 
@@ -134,7 +134,7 @@ fn oversized_line_recovery_is_exact() {
     // An oversized request split across many small writes still yields
     // exactly one FrameTooLong error, and the next frame parses cleanly.
     let cfg = ServerConfig { max_frame: MAX_FRAME, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", SharedDatabase::new(tiny_db()), cfg)
+    let server = Server::bind("127.0.0.1:0", EpochDb::new(tiny_db()), cfg)
         .expect("bind ephemeral port");
     let stream = connect_with_retry(server.local_addr(), 20).unwrap();
     let mut write_half = stream.try_clone().unwrap();

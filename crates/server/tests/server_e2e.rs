@@ -3,7 +3,7 @@
 //! the protocol itself (replies fence previously-enqueued pushes because a
 //! session's outbox is FIFO).
 
-use most_core::{Database, SharedDatabase, UpdateOp};
+use most_core::{Database, EpochDb, UpdateOp};
 use most_dbms::value::Value;
 use most_ftl::Query;
 use most_server::client::{connect_with_retry, Client, ClientError};
@@ -26,7 +26,7 @@ fn demo_db() -> Database {
 }
 
 fn serve(db: Database, cfg: ServerConfig) -> Server {
-    Server::bind("127.0.0.1:0", SharedDatabase::new(db), cfg).expect("bind ephemeral port")
+    Server::bind("127.0.0.1:0", EpochDb::new(db), cfg).expect("bind ephemeral port")
 }
 
 #[test]

@@ -172,7 +172,7 @@ impl Json {
 
     /// Parses JSON text.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -206,6 +206,7 @@ fn render_string(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -371,16 +372,21 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
+                    // Copy the run up to the next quote, backslash or end
+                    // as one slice.  Every byte that ends a run is ASCII,
+                    // so the slice ends on a char boundary of the `&str`
+                    // input; control characters (all ASCII) end it too.
+                    let start = self.pos;
+                    while let Some(b) = self.peek() {
+                        if b < 0x20 {
+                            return Err(self.err("unescaped control character"));
+                        }
+                        if b == b'"' || b == b'\\' {
+                            break;
+                        }
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -886,6 +892,43 @@ mod tests {
             assert_eq!(Json::Float(v).render(), Err(JsonError::NonFiniteFloat));
         }
         assert!(Json::parse("1e999").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Multi-byte characters sit right next to simple, `\u` and
+        // surrogate-pair escapes, so runs of unescaped text start and end
+        // on both sides of every kind of escape.
+        let unit_json = r#"é\"ü\\€\n😀\u0001ab\ud83d\ude00/"#;
+        let unit_value = "é\"ü\\€\n😀\u{1}ab😀/";
+        let n = 256 * 1024 / unit_value.len() + 1;
+        let expected = unit_value.repeat(n);
+        assert!(expected.len() >= 256 * 1024);
+        let text = format!("\"{}\"", unit_json.repeat(n));
+        let start = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, Json::Str(expected));
+        // Linear parsing takes milliseconds; re-validating the rest of the
+        // input per character took seconds at this size.
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "parsing a {} byte string took {elapsed:?}",
+            text.len()
+        );
+    }
+
+    #[test]
+    fn raw_control_characters_are_rejected_at_their_offset() {
+        // Quote (1 byte), `é` (2), escaped `\n` (2): the raw newline sits
+        // at byte offset 5.
+        match Json::parse("\"é\\n\nx\"") {
+            Err(JsonError::Parse { message, offset }) => {
+                assert_eq!(message, "unescaped control character");
+                assert_eq!(offset, 5);
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run --example fleet_dashboard
 //! ```
 
-use moving_objects::core::{Database, SharedDatabase};
+use moving_objects::core::{Database, EpochDb};
 use moving_objects::ftl::{explain_query, Query};
 use moving_objects::spatial::{Point, Polygon, Velocity};
 use moving_objects::workload::cars::CarScenario;
@@ -47,9 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let _ = hospital;
 
-    // Shared access: four dashboard widgets query concurrently while a
-    // sensor thread feeds motion updates.
-    let shared = SharedDatabase::new(db);
+    // Shared access: four dashboard widgets query pinned epochs
+    // concurrently while a sensor thread publishes motion updates.
+    let shared = EpochDb::new(db);
     let widgets: Vec<_> = (0..4)
         .map(|w| {
             let shared = shared.clone();
@@ -58,7 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     .expect("parses");
                 let mut last = 0;
                 for _ in 0..20 {
-                    last = shared.instantaneous_now(&q).expect("evaluates").len();
+                    let pin = shared.pin();
+                    let answer = pin.instantaneous_readonly(&q).expect("evaluates");
+                    last = answer.at_tick(pin.now()).len();
                 }
                 (w, last)
             })
@@ -69,10 +71,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ids = ids.clone();
         thread::spawn(move || {
             for (i, id) in ids.iter().cycle().take(40).enumerate() {
-                shared.advance_clock(1);
-                shared
-                    .update_motion(*id, Velocity::new((i % 5) as f64 * 0.3 - 0.6, 0.4))
-                    .expect("updates");
+                shared.commit(|d| d.advance_clock(1));
+                let velocity = Velocity::new((i % 5) as f64 * 0.3 - 0.6, 0.4);
+                shared.commit(|d| d.update_motion(*id, velocity)).expect("updates");
             }
         })
     };
@@ -81,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (i, n) = w.join().expect("widget");
         println!("widget {i}: {n} vehicles headed for the depot");
     }
-    println!("clock now at t={}", shared.now());
+    println!("clock now at t={}", shared.pin().now());
     Ok(())
 }
 

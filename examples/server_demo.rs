@@ -10,7 +10,7 @@
 //! The server binds an ephemeral port on localhost; nothing external is
 //! contacted.
 
-use moving_objects::core::{Database, SharedDatabase};
+use moving_objects::core::{Database, EpochDb};
 use moving_objects::server::client::Client;
 use moving_objects::server::server::{Server, ServerConfig};
 use moving_objects::spatial::{Point, Polygon, Velocity};
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The server runs on background threads; `bind` returns immediately
     // and the ephemeral port is read back from the handle.
-    let server = Server::bind("127.0.0.1:0", SharedDatabase::new(db), ServerConfig::default())?;
+    let server = Server::bind("127.0.0.1:0", EpochDb::new(db), ServerConfig::default())?;
     let addr = server.local_addr();
     println!("most-server listening on {addr}");
 

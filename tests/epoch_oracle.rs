@@ -10,7 +10,7 @@
 
 use most_testkit::check::{ints, one_of, tuple2, tuple3, vecs, Check, Gen};
 use most_testkit::ser::to_json_string;
-use moving_objects::core::{Database, SharedDatabase, UpdateOp};
+use moving_objects::core::{Database, EpochDb, UpdateOp};
 use moving_objects::dbms::value::Value;
 use moving_objects::ftl::Query;
 use moving_objects::spatial::{Point, Polygon, Velocity};
@@ -110,19 +110,21 @@ fn concurrent_epoch_answers_match_an_oracle_epoch() {
             }
             // Concurrent run: the writer publishes one epoch per step
             // while `readers` threads pin and check — no sleeps.
-            let shared = SharedDatabase::new(db);
+            let shared = EpochDb::new(db);
             thread::scope(|s| {
                 let writer = {
                     let shared = shared.clone();
                     s.spawn(move || {
                         for ev in script {
                             match *ev {
-                                Ev::Advance(n) => shared.advance_clock(n),
+                                Ev::Advance(n) => shared.commit(|d| d.advance_clock(n)),
                                 Ev::Motion { obj, vx, vy } => shared
-                                    .update_motion(
-                                        ids[obj],
-                                        Velocity::new(vx as f64 * 0.5, vy as f64 * 0.5),
-                                    )
+                                    .commit(|d| {
+                                        d.update_motion(
+                                            ids[obj],
+                                            Velocity::new(vx as f64 * 0.5, vy as f64 * 0.5),
+                                        )
+                                    })
                                     .unwrap(),
                                 Ev::Batch { obj, price, poison } => {
                                     let r = shared
@@ -157,7 +159,7 @@ fn concurrent_epoch_answers_match_an_oracle_epoch() {
             assert_eq!(pin.epoch() as usize, script.len());
             assert_eq!(observe(pin.db(), cq), expected[script.len()]);
             drop(pin);
-            let st = shared.epoch_stats();
+            let st = shared.stats();
             assert_eq!(st.created, st.retired + st.live, "conservation: {st:?}");
             assert_eq!(st.live, 1);
         });

@@ -8,7 +8,7 @@
 //! mutations sees exactly what the server sees.
 
 use most_testkit::ser::{from_json_str, to_json_string};
-use moving_objects::core::{Database, SharedDatabase, UpdateOp};
+use moving_objects::core::{Database, EpochDb, UpdateOp};
 use moving_objects::ftl::Query;
 use moving_objects::spatial::{Polygon, Velocity};
 use moving_objects::workload::cars::{apply_due_updates, CarScenario};
@@ -145,17 +145,16 @@ fn mid_epoch_snapshot_restores_last_published_epoch() {
         .register_continuous(Query::parse("RETRIEVE o WHERE INSIDE(o, P)").unwrap())
         .unwrap();
 
-    let shared = SharedDatabase::new(db);
+    let epochs = EpochDb::new(db);
     // Publish a few epochs the ordinary way.
     for t in 1..=10u64 {
-        shared.advance_clock(1);
-        shared.write(|d| apply_due_updates(d, &ids, &plans, t - 1, t));
+        epochs.commit(|d| d.advance_clock(1));
+        epochs.commit(|d| apply_due_updates(d, &ids, &plans, t - 1, t));
     }
-    let published = shared.pin();
+    let published = epochs.pin();
 
     // Now accumulate epoch E+1 *without* publishing: a partial batch and
     // a buffered clock advance.
-    let epochs = shared.epochs();
     epochs
         .buffer_updates(&[UpdateOp::Motion { id: ids[0], velocity: Velocity::new(9.0, 9.0) }])
         .unwrap();
@@ -164,7 +163,7 @@ fn mid_epoch_snapshot_restores_last_published_epoch() {
 
     // The server-visible snapshot is taken through the read path — it
     // must see only the published epoch.
-    let json = shared.read(|d| to_json_string(d).expect("snapshot serializes"));
+    let json = to_json_string(epochs.pin().db()).expect("snapshot serializes");
     let restored: Database = from_json_str(&json).expect("snapshot restores");
 
     assert_eq!(restored.now(), published.db().now(), "buffered clock advance leaked");
@@ -197,7 +196,7 @@ fn mid_epoch_snapshot_restores_last_published_epoch() {
     // ...and publishing afterwards is equivalent to restoring the
     // snapshot and replaying the buffered mutations on top.
     let e = epochs.advance_epoch();
-    let after = shared.pin();
+    let after = epochs.pin();
     assert_eq!(after.epoch(), e);
     let mut replayed = restored;
     replayed
