@@ -10,15 +10,15 @@
 //! window, top-k busiest regions), maintained incrementally per batch.
 //!
 //! * **Phase A (oracle gate, the CI gate):** seeded taxi-shift and
-//!   delivery-route fleets replay through all three engines — a single
-//!   `EpochDb`, a 4-shard `ShardedDb`, and a WAL-backed `DurableDb` —
-//!   with a recorder attached.  Every alibi answer must be
-//!   **byte-identical** to the brute-force time-stepping oracle over
-//!   the same recorded samples, and the incrementally-maintained
-//!   aggregates must equal a full recompute of the retained sample
-//!   log.  All asserted in-run.
+//!   delivery-route fleets replay through all three engine setups — a
+//!   one-shard `ShardedDb`, a 4-shard `ShardedDb`, and a WAL-backed
+//!   `DurableDb` (itself over one shard) — with a recorder attached.
+//!   Every alibi answer must be **byte-identical** to the brute-force
+//!   time-stepping oracle over the same recorded samples, and the
+//!   incrementally-maintained aggregates must equal a full recompute of
+//!   the retained sample log.  All asserted in-run.
 //! * **Phase B (overhead, measured):** the same car-fleet batch stream
-//!   applies to twin epoch engines with and without a recorder
+//!   applies to twin one-shard engines with and without a recorder
 //!   attached — the wall-clock ratio is the recording overhead — and
 //!   the recorder's sustained fold rate (legs consumed per second,
 //!   aggregate maintenance included) is reported for an unpruned and a
@@ -29,7 +29,7 @@ use crate::table::{fmt_duration, fmt_f64};
 use crate::{Scale, Table};
 use most_core::sharded::{ShardedDb, ShardedDbBuilder};
 use most_core::wal::{DurableDb, WalConfig};
-use most_core::{Database, EpochDb, UpdateOp};
+use most_core::{Database, UpdateOp};
 use most_hist::{HistoryConfig, HistoryRecorder, WindowedAggregates};
 use most_spatial::Polygon;
 use most_temporal::Interval;
@@ -58,46 +58,28 @@ fn add_regions(db: &mut Database) {
     db.add_region("north", Polygon::rectangle(-400.0, 0.0, 400.0, 400.0));
 }
 
-/// One engine flavour under test, driven through a uniform surface.
-enum Engine {
-    Single(EpochDb),
-    Sharded(ShardedDb),
-    Durable(DurableDb),
+/// One engine setup under test: a sharded engine (one shard for
+/// "single" and "durable", four for "sharded"), mutated through its
+/// write-ahead log when durable.
+struct Engine {
+    db: Arc<ShardedDb>,
+    durable: Option<DurableDb>,
 }
 
 impl Engine {
-    fn attach(&self, rec: &Arc<HistoryRecorder>) {
-        match self {
-            Engine::Single(e) => rec.attach(e),
-            Engine::Sharded(s) => rec.attach_sharded(s),
-            Engine::Durable(d) => rec.attach(d.epochs()),
-        }
-    }
-
     fn advance(&self, ticks: u64) {
-        match self {
-            Engine::Single(e) => e.commit(|d| d.advance_clock(ticks)),
-            Engine::Sharded(s) => s.advance_clock(ticks),
-            Engine::Durable(d) => d.advance_clock(ticks).expect("wal advance"),
+        match &self.durable {
+            Some(d) => d.advance_clock(ticks).expect("wal advance"),
+            None => self.db.advance_clock(ticks),
         }
     }
 
     fn apply(&self, ops: &[UpdateOp]) {
-        match self {
-            Engine::Single(e) => e.apply_updates(ops).expect("valid batch"),
-            Engine::Sharded(s) => s.apply_updates(ops).expect("valid batch"),
-            Engine::Durable(d) => d.apply_updates(ops).expect("valid batch"),
+        match &self.durable {
+            Some(d) => d.apply_updates(ops),
+            None => self.db.apply_updates(ops),
         }
-    }
-
-    /// A published database view (for the aggregate recompute oracle's
-    /// region set — identical on every shard).
-    fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        match self {
-            Engine::Single(e) => f(e.pin().db()),
-            Engine::Sharded(s) => f(s.pin().shard(0)),
-            Engine::Durable(d) => f(d.epochs().pin().db()),
-        }
+        .expect("valid batch");
     }
 }
 
@@ -111,18 +93,19 @@ struct Fleet {
 fn build_world(fleet: &str, seed: u64, engine: &str) -> (Engine, Fleet) {
     let make_engine = |db: Database, populate_sharded: &dyn Fn(&mut ShardedDbBuilder) -> Vec<u64>| {
         match engine {
-            "single" => Engine::Single(EpochDb::new(db)),
+            "single" => Engine { db: Arc::new(ShardedDb::from_database(db)), durable: None },
             "durable" => {
                 let dir = wal_dir(&format!("{fleet}-{seed}"));
                 let _ = std::fs::remove_dir_all(&dir);
-                Engine::Durable(DurableDb::create(&dir, db, WalConfig::default()).unwrap())
+                let d = DurableDb::create(&dir, db, WalConfig::default()).unwrap();
+                Engine { db: Arc::clone(d.engine()), durable: Some(d) }
             }
             _ => {
                 let mut b = ShardedDbBuilder::new(4, 10_000);
                 b.add_region("downtown", Polygon::rectangle(-150.0, -150.0, 150.0, 150.0));
                 b.add_region("north", Polygon::rectangle(-400.0, 0.0, 400.0, 400.0));
                 populate_sharded(&mut b);
-                Engine::Sharded(b.finish())
+                Engine { db: Arc::new(b.finish()), durable: None }
             }
         }
     };
@@ -185,7 +168,7 @@ fn drive(engine: &Engine, fleet: &Fleet) {
 fn oracle_gate(fleet_name: &str, seed: u64, engine_name: &str) -> (usize, u64) {
     let (engine, fleet) = build_world(fleet_name, seed, engine_name);
     let rec = HistoryRecorder::new(HistoryConfig::unpruned(WINDOW));
-    engine.attach(&rec);
+    rec.attach_sharded(&engine.db);
     drive(&engine, &fleet);
     let mut checks = 0;
     rec.with(|store| {
@@ -209,15 +192,18 @@ fn oracle_gate(fleet_name: &str, seed: u64, engine_name: &str) -> (usize, u64) {
                 }
             }
         }
-        engine.with_db(|db| {
-            let oracle =
-                WindowedAggregates::recompute(WINDOW, store.retained_samples(), db);
-            assert_eq!(
-                store.aggregates(),
-                &oracle,
-                "{engine_name}/{fleet_name} seed {seed}: incremental aggregates diverged"
-            );
-        });
+        // The recompute oracle reads the region set, identical on every
+        // shard.
+        let oracle = WindowedAggregates::recompute(
+            WINDOW,
+            store.retained_samples(),
+            engine.db.pin().shard(0),
+        );
+        assert_eq!(
+            store.aggregates(),
+            &oracle,
+            "{engine_name}/{fleet_name} seed {seed}: incremental aggregates diverged"
+        );
         checks += 1;
     });
     let records = rec.with(|s| {
@@ -233,7 +219,7 @@ struct Overhead {
     records: u64,
 }
 
-/// Applies the seeded car-fleet batch stream to a fresh epoch engine,
+/// Applies the seeded car-fleet batch stream to a fresh one-shard engine,
 /// optionally with a recorder attached, and measures wall-clock.
 fn run_stream(
     scenario: &CarScenario,
@@ -243,10 +229,10 @@ fn run_stream(
     let mut db = Database::new(10_000);
     add_regions(&mut db);
     let ids = scenario.populate(&mut db, plans);
-    let edb = EpochDb::new(db);
+    let engine = ShardedDb::from_database(db);
     let rec = config.map(|c| {
         let r = HistoryRecorder::new(c);
-        r.attach(&edb);
+        r.attach_sharded(&engine);
         r
     });
     let step = 5;
@@ -267,9 +253,9 @@ fn run_stream(
     }
     let t0 = Instant::now();
     for ops in &scripts {
-        edb.commit(|d| d.advance_clock(step));
+        engine.advance_clock(step);
         if !ops.is_empty() {
-            edb.apply_updates(ops).expect("planned updates are valid");
+            engine.apply_updates(ops).expect("planned updates are valid");
         }
     }
     let elapsed_secs = t0.elapsed().as_secs_f64().max(1e-9);
@@ -329,7 +315,7 @@ pub fn run(scale: Scale) -> Table {
             max_segments: 2,
             window: WINDOW,
         });
-        engine.attach(&rec);
+        rec.attach_sharded(&engine.db);
         drive(&engine, &fleet);
         let (pruned, retained) = rec.with(|store| {
             let pruned: u64 =
@@ -401,15 +387,15 @@ pub fn run(scale: Scale) -> Table {
     );
 
     table.note(
-        "Phase A replays seeded taxi-shift and delivery-route fleets through a single \
-         epoch engine, a 4-shard engine and a WAL-backed durable engine with a history \
+        "Phase A replays seeded taxi-shift and delivery-route fleets through a one-shard \
+         engine, a 4-shard engine and a WAL-backed one-shard engine with a history \
          recorder attached at the epoch-publish boundary; every alibi answer is \
          byte-compared to the brute-force time-stepping oracle (including the zero \
          speed-bound and parked-object degeneracies the shift/dwell patterns produce), \
          and the incrementally-maintained windowed aggregates are byte-compared to a \
          full recompute of the retained sample log — all asserted in-run, so this is \
          the CI smoke gate.  Phase B applies one seeded car-fleet batch stream to twin \
-         epoch engines with and without a recorder: the wall-clock ratio is the \
+         one-shard engines with and without a recorder: the wall-clock ratio is the \
          recording overhead, and rec/s is the sustained fold rate (segment append + \
          aggregate maintenance).  The pruned config must consume exactly the record \
          stream the unpruned one does — retention bounds memory, not recording.  \

@@ -327,20 +327,26 @@ pub fn merge_answers(old: &Answer, new: &Answer, boundary: Tick) -> Answer {
 /// there is no variable list to build an empty answer from (shard counts
 /// are ≥ 1 everywhere in the engine).
 pub fn combine_shard_answers(parts: &[Answer]) -> crate::error::CoreResult<Answer> {
-    let first = parts.first().ok_or_else(|| {
+    let (first, rest) = parts.split_first().ok_or_else(|| {
         crate::error::CoreError::Unshardable("no shard answers to combine".into())
     })?;
-    for part in parts {
-        if part.vars != first.vars {
-            return Err(crate::error::CoreError::AnswerVarsMismatch {
-                left: first.vars.clone(),
-                right: part.vars.clone(),
-            });
-        }
+    union_shard_answers(first.clone(), rest)
+}
+
+/// Unions `rest` into `first` — the body of [`combine_shard_answers`] for
+/// callers that own the first part, so it is not copied (a one-shard
+/// answer passes through untouched).
+pub(crate) fn union_shard_answers(
+    first: Answer,
+    rest: &[Answer],
+) -> crate::error::CoreResult<Answer> {
+    if let Some(part) = rest.iter().find(|part| part.vars != first.vars) {
+        return Err(crate::error::CoreError::AnswerVarsMismatch {
+            left: first.vars.clone(),
+            right: part.vars.clone(),
+        });
     }
-    Ok(parts[1..]
-        .iter()
-        .fold(first.clone(), |acc, part| acc.union_with(part)))
+    Ok(rest.iter().fold(first, |acc, part| acc.union_with(part)))
 }
 
 most_testkit::json_struct!(CqEntry {

@@ -394,6 +394,11 @@ impl Database {
         self.classes.insert(class.name.clone(), class);
     }
 
+    /// The id the next implicit insert will take.
+    pub(crate) fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
     /// Inserts a spatial object of `class` at the current tick.  An
     /// undeclared class is auto-created as an open spatial class.
     pub fn insert_moving_object(
@@ -1021,8 +1026,19 @@ impl Database {
 
     /// Registers a **continuous query**: evaluated once, materialized, and
     /// refreshed only on explicit updates.  Returns the query id.
+    ///
+    /// A panic in the initial evaluation is caught and returned as
+    /// [`CoreError::EvalPanic`] (as a refresh would report it): nothing is
+    /// registered, no id is consumed, and an epoch writer running this
+    /// registration keeps its lock unpoisoned.
     pub fn register_continuous(&mut self, q: Query) -> CoreResult<u64> {
-        let answer = self.evaluate_global(&q)?;
+        // `AssertUnwindSafe`: the evaluation only reads `self`.
+        let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.evaluate_global(&q)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(CoreError::EvalPanic(crate::refresh::panic_message(&payload)))
+        })?;
         // Compile once at registration (the tentpole of the compiled-plan
         // engine): refreshes replay this plan instead of re-walking the AST.
         let plan = self.compiled_plans.then(|| PlanState::compile(&q));

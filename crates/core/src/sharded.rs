@@ -28,8 +28,8 @@
 //!   cut, exactly like a single [`EpochPin`].
 //! * **Scatter-gather queries.**  Instantaneous, persistent and
 //!   continuous answers are evaluated per shard against the pinned cut
-//!   and combined with [`combine_shard_answers`] — a deterministic,
-//!   order-independent union (rows collect into a `BTreeMap`,
+//!   and combined with [`crate::continuous::combine_shard_answers`] — a
+//!   deterministic, order-independent union (rows collect into a `BTreeMap`,
 //!   `IntervalSet::union` per duplicate instantiation), so a sharded
 //!   answer is byte-identical to the single-shard reference.
 //!
@@ -38,14 +38,21 @@
 //! query has one target variable, no other free variables, and no fixed
 //! object ids (a fixed object may live on another shard).  Everything
 //! else — multi-variable joins would need cross-shard pairs — is rejected
-//! with [`CoreError::Unshardable`] rather than answered wrongly.
+//! with [`CoreError::Unshardable`] rather than answered wrongly.  With
+//! one shard every query is shard-local, so nothing is rejected.
+//!
+//! **One shard is the single engine.**  [`ShardedDb::from_database`]
+//! wraps a built [`Database`] as a one-shard engine; its answers are
+//! byte-identical to the bare database's.  The server, the write-ahead
+//! logged [`crate::wal::DurableDb`] and the history recorder all drive
+//! this one engine type.
 //!
 //! Continuous queries are registered on **every** shard (each maintains
 //! the materialized sub-answer for its own objects); the registration
 //! sequence is identical on all shards, so the per-shard ids coincide and
 //! the global CQ id is that common id.
 
-use crate::continuous::combine_shard_answers;
+use crate::continuous::union_shard_answers;
 use crate::database::{formula_mentions_fixed_objects, Database, UpdateOp};
 use crate::epoch::{EpochDb, EpochPin, EpochStats};
 use crate::error::{CoreError, CoreResult};
@@ -179,20 +186,18 @@ impl CutPin {
 
     /// Scatter-gather **instantaneous** query: evaluates shard-locally in
     /// parallel against the pinned cut and combines with
-    /// [`combine_shard_answers`].
+    /// [`crate::continuous::combine_shard_answers`].
     pub fn instantaneous(&self, q: &Query) -> CoreResult<Answer> {
-        ensure_shardable(q)?;
+        ensure_shardable(q, self.shard_count())?;
         most_obs::inc("shard.scatter_queries");
-        let parts = self.scatter(|db| db.instantaneous_readonly(q))?;
-        combine_shard_answers(&parts)
+        gather(self.scatter(|db| db.instantaneous_readonly(q))?)
     }
 
     /// Scatter-gather **persistent** query anchored at `origin`.
     pub fn persistent_answer(&self, q: &Query, origin: Tick) -> CoreResult<Answer> {
-        ensure_shardable(q)?;
+        ensure_shardable(q, self.shard_count())?;
         most_obs::inc("shard.scatter_queries");
-        let parts = self.scatter(|db| db.persistent_answer(q, origin))?;
-        combine_shard_answers(&parts)
+        gather(self.scatter(|db| db.persistent_answer(q, origin))?)
     }
 
     /// The combined materialized answer of a continuous query (each shard
@@ -204,7 +209,7 @@ impl CutPin {
             .iter()
             .map(|p| p.continuous_answer(cq).cloned())
             .collect::<CoreResult<_>>()?;
-        combine_shard_answers(&parts)
+        gather(parts)
     }
 
     /// The display of continuous query `cq` at tick `at`: the sorted
@@ -345,25 +350,13 @@ impl ShardedDbBuilder {
             db.maintain_spatial_index();
             db.maintain_attr_index();
         }
-        let shards: Vec<EpochDb> = self.dbs.into_iter().map(EpochDb::new).collect();
-        let pins = shards.iter().map(|s| s.pin()).collect();
-        most_obs::gauge_set("shard.count", shards.len() as u64);
-        ShardedDb {
-            shards,
-            routing: self.routing,
-            cut: RwLock::new(Arc::new(ShardCut { seq: 0, pins })),
-            writer: Mutex::new(ShardWriter {
-                next_id: self.next_id,
-                assignment: self.assignment,
-                cut_seq: 0,
-            }),
-        }
+        ShardedDb::publish_initial(self.dbs, self.routing, self.next_id, self.assignment)
     }
 }
 
 /// A partitioned MOST database: N per-shard [`EpochDb`]s, one published
-/// cross-shard cut.  See the module docs for the architecture.  Cloning
-/// the handle shares all state.
+/// cross-shard cut.  See the module docs for the architecture.  Share it
+/// behind an `Arc`.
 #[derive(Debug)]
 pub struct ShardedDb {
     shards: Vec<EpochDb>,
@@ -385,6 +378,33 @@ impl ShardedDb {
     /// [`ShardedDbBuilder`]).
     pub fn new(shards: usize, expiration: Duration) -> Self {
         ShardedDbBuilder::new(shards, expiration).finish()
+    }
+
+    /// Wraps a built database as a **one-shard** engine, publishing its
+    /// state as epoch 0 exactly as [`EpochDb::new`] does.  Runtime inserts
+    /// continue from the database's own next id.
+    pub fn from_database(db: Database) -> Self {
+        let next_id = db.next_id();
+        ShardedDb::publish_initial(vec![db], ShardRouting::HashId, next_id, BTreeMap::new())
+    }
+
+    /// Wraps each database as a shard at epoch 0 and publishes the
+    /// initial cut (sequence 0).
+    fn publish_initial(
+        dbs: Vec<Database>,
+        routing: ShardRouting,
+        next_id: u64,
+        assignment: BTreeMap<u64, usize>,
+    ) -> Self {
+        let shards: Vec<EpochDb> = dbs.into_iter().map(EpochDb::new).collect();
+        let pins = shards.iter().map(|s| s.pin()).collect();
+        most_obs::gauge_set("shard.count", shards.len() as u64);
+        ShardedDb {
+            shards,
+            routing,
+            cut: RwLock::new(Arc::new(ShardCut { seq: 0, pins })),
+            writer: Mutex::new(ShardWriter { next_id, assignment, cut_seq: 0 }),
+        }
     }
 
     /// Number of shards.
@@ -463,7 +483,7 @@ impl ShardedDb {
     /// registration sequences), so the common id is returned as the
     /// global CQ id.  Rejects unshardable queries up front.
     pub fn register_continuous(&self, q: &Query) -> CoreResult<u64> {
-        ensure_shardable(q)?;
+        ensure_shardable(q, self.shard_count())?;
         let writer = lock_clean(&self.writer);
         let ids = self.parallel_shards_collect(|_, shard| {
             shard.commit(|db| db.register_continuous(q.clone()))
@@ -547,10 +567,13 @@ impl ShardedDb {
             seq: writer.cut_seq,
             pins: self.shards.iter().map(|s| s.pin()).collect(),
         });
-        {
+        let old = {
             let mut slot = self.cut.write().unwrap_or_else(PoisonError::into_inner);
-            *slot = cut;
-        }
+            std::mem::replace(&mut *slot, cut)
+        };
+        // Release the pointer lock before the old cut (and, when no reader
+        // pins it, its shard states) drops.
+        drop(old);
         most_obs::inc("shard.cut_publishes");
     }
 
@@ -596,6 +619,14 @@ impl ShardedDb {
     }
 }
 
+/// Combines per-shard answers (one per shard, so never empty) as
+/// [`crate::continuous::combine_shard_answers`] does, consuming them so
+/// the first is not copied.
+fn gather(mut parts: Vec<Answer>) -> CoreResult<Answer> {
+    let first = parts.remove(0);
+    union_shard_answers(first, &parts)
+}
+
 /// The id an update op addresses.
 fn op_id(op: &UpdateOp) -> u64 {
     match op {
@@ -606,11 +637,14 @@ fn op_id(op: &UpdateOp) -> u64 {
     }
 }
 
-/// Checks that per-shard evaluation + scatter-gather answers `q` exactly
-/// (see the module docs): one target variable, no other free variables,
-/// no fixed object ids.  Public so serving layers can reject unshardable
-/// requests before scattering.
-pub fn ensure_shardable(q: &Query) -> CoreResult<()> {
+/// Checks that per-shard evaluation + scatter-gather over `shards` shards
+/// answers `q` exactly (see the module docs): one target variable, no
+/// other free variables, no fixed object ids.  One shard holds every
+/// object, so shard-local evaluation is exact and every query passes.
+fn ensure_shardable(q: &Query, shards: usize) -> CoreResult<()> {
+    if shards == 1 {
+        return Ok(());
+    }
     if q.targets.len() != 1 {
         return Err(CoreError::Unshardable(format!(
             "{} target variables (cross-shard joins are not supported; shard-local \
@@ -761,10 +795,21 @@ mod tests {
 
     #[test]
     fn unshardable_queries_are_rejected() {
+        // Two target variables: a join, cross-shard once there are two.
+        let join = Query::parse("RETRIEVE o, p WHERE INSIDE(o, P) AND INSIDE(p, P)").unwrap();
+        // One shard holds every object: the join is shard-local, accepted,
+        // and answers byte-identically to the reference database.
+        let (reference, single) = twin_worlds(1, ShardRouting::HashId);
+        let want = reference.instantaneous_readonly(&join).unwrap();
+        assert!(!want.is_empty(), "the join must have pairs to compare");
+        assert_eq!(
+            to_json_string(&single.pin().instantaneous(&join).unwrap()).unwrap(),
+            to_json_string(&want).unwrap(),
+            "a one-shard join must answer like the reference"
+        );
+        assert!(single.register_continuous(&join).is_ok());
         let (_, sharded) = twin_worlds(2, ShardRouting::HashId);
         let pin = sharded.pin();
-        // Two target variables: a cross-shard join.
-        let join = Query::parse("RETRIEVE o, p WHERE INSIDE(o, P) AND INSIDE(p, P)").unwrap();
         assert!(matches!(
             pin.instantaneous(&join),
             Err(CoreError::Unshardable(_))

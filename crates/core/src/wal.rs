@@ -34,26 +34,27 @@
 //!   skipped, and later segments carrying the committed continuation
 //!   still replay.
 //!
-//! [`DurableDb`] packages the discipline: an [`EpochDb`] whose mutating
-//! entry points append to the log first (under one lock, so log order
-//! is exactly apply order), with optional automatic checkpointing every
-//! N records.  Replay is deterministic — applying the same records to
-//! the checkpoint state reproduces the crashed primary's published
-//! state *byte for byte*, including continuous-query answers and
-//! counters ([`Database::fingerprint`] compares whole states) — which
-//! is also what makes WAL records a valid replication feed
-//! (`most-mobile::replication`, the `most-server` `Feed` endpoint).
+//! [`DurableDb`] packages the discipline: a one-shard [`ShardedDb`]
+//! whose mutating entry points append to the log first (under one lock,
+//! so log order is exactly apply order), with optional automatic
+//! checkpointing every N records.  Replay is deterministic — applying
+//! the same records to the checkpoint state reproduces the crashed
+//! primary's published state *byte for byte*, including
+//! continuous-query answers and counters ([`Database::fingerprint`]
+//! compares whole states) — which is also what makes WAL records a
+//! valid replication feed (`most-mobile::replication`, the
+//! `most-server` `Feed` endpoint).
 
 use crate::database::{Database, UpdateOp};
-use crate::epoch::{EpochDb, EpochPin};
 use crate::error::{CoreError, CoreResult};
+use crate::sharded::{CutPin, ShardedDb};
 use most_ftl::Query;
 use most_testkit::hash::fnv1a64;
 use most_testkit::ser::{from_json_str, to_json_string};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Magic bytes opening every segment file.
 const SEGMENT_MAGIC: &[u8; 8] = b"MOSTWAL1";
@@ -588,16 +589,16 @@ fn write_checkpoint(dir: &Path, next_seq: u64, db: &Database) -> io::Result<()> 
     Ok(())
 }
 
-/// An epoch database whose mutations are write-ahead logged.
+/// A one-shard [`ShardedDb`] whose mutations are write-ahead logged.
 ///
 /// All mutating entry points take one internal lock across
-/// *append-then-apply*, so the log's record order is exactly the epoch
+/// *append-then-apply*, so the log's record order is exactly the cut
 /// publication order — the invariant both recovery and replication
 /// depend on.  Readers are untouched: [`DurableDb::pin`] is the same
-/// lock-free epoch pin as [`EpochDb::pin`].
+/// lock-free cut pin as [`ShardedDb::pin`].
 #[derive(Debug)]
 pub struct DurableDb {
-    epochs: EpochDb,
+    db: Arc<ShardedDb>,
     wal: Mutex<Wal>,
 }
 
@@ -606,7 +607,7 @@ impl DurableDb {
     /// checkpoint + empty log).
     pub fn create(dir: &Path, db: Database, cfg: WalConfig) -> io::Result<DurableDb> {
         let wal = Wal::create(dir, &db, cfg)?;
-        Ok(DurableDb { epochs: EpochDb::new(db), wal: Mutex::new(wal) })
+        Ok(DurableDb { db: Arc::new(ShardedDb::from_database(db)), wal: Mutex::new(wal) })
     }
 
     /// Recovers from `dir` and reopens for appending.  The recovered
@@ -615,20 +616,20 @@ impl DurableDb {
     pub fn open(dir: &Path, cfg: WalConfig) -> io::Result<(DurableDb, Recovery)> {
         let recovery = recover(dir)?;
         let wal = Wal::reopen(dir, &recovery, cfg)?;
-        let durable =
-            DurableDb { epochs: EpochDb::new(recovery.db.clone()), wal: Mutex::new(wal) };
-        Ok((durable, recovery))
+        let db = Arc::new(ShardedDb::from_database(recovery.db.clone()));
+        Ok((DurableDb { db, wal: Mutex::new(wal) }, recovery))
     }
 
-    /// The underlying epoch engine (for lock-free reads and epoch
-    /// accounting).
-    pub fn epochs(&self) -> &EpochDb {
-        &self.epochs
+    /// The shared engine behind the log (for lock-free reads, epoch
+    /// accounting and publish observers).  Mutating it directly bypasses
+    /// the log.
+    pub fn engine(&self) -> &Arc<ShardedDb> {
+        &self.db
     }
 
-    /// Pins the currently published epoch for lock-free reading.
-    pub fn pin(&self) -> EpochPin {
-        self.epochs.pin()
+    /// Pins the currently published cut for lock-free reading.
+    pub fn pin(&self) -> CutPin {
+        self.db.pin()
     }
 
     /// The sequence number the next logged mutation will get.
@@ -636,37 +637,32 @@ impl DurableDb {
         self.wal.lock().expect("wal lock poisoned").next_seq()
     }
 
-    /// Logs and applies one record: append (write-ahead), apply to the
-    /// next epoch, publish, then auto-checkpoint if configured.  On an
-    /// append I/O failure nothing is applied.  Returns the assigned
+    /// Logs and applies one record: append (write-ahead), apply and
+    /// publish a cut, then auto-checkpoint if configured.  On an append
+    /// I/O failure nothing is applied.  Returns the assigned
     /// continuous-query id for `Register` records, `None` otherwise.
     fn log_and_apply(&self, record: WalRecord) -> CoreResult<Option<u64>> {
         let mut wal = self.wal.lock().expect("wal lock poisoned");
         wal.append(&record).map_err(|e| CoreError::Wal(e.to_string()))?;
         let result = match &record {
-            WalRecord::Batch { ops } => self.epochs.apply_updates(ops).map(|()| None),
+            WalRecord::Batch { ops } => self.db.apply_updates(ops).map(|()| None),
             WalRecord::Advance { ticks } => {
-                let t = *ticks;
-                self.epochs.commit(|d| d.advance_clock(t));
+                self.db.advance_clock(*ticks);
                 Ok(None)
             }
             WalRecord::Register { query } => {
-                let q = Query::parse(query)?;
-                self.epochs.commit(|d| d.register_continuous(q)).map(Some)
+                self.db.register_continuous(&Query::parse(query)?).map(Some)
             }
-            WalRecord::Cancel { cq } => {
-                let id = *cq;
-                self.epochs.commit(|d| d.cancel_continuous(id)).map(|()| None)
-            }
+            WalRecord::Cancel { cq } => self.db.cancel_continuous(*cq).map(|()| None),
         };
         let every = wal.cfg.checkpoint_every;
         if every > 0 && wal.appends_since_checkpoint() >= every {
-            let pin = self.epochs.pin();
+            let pin = self.db.pin();
             // The mutation is already durably appended and applied; a
             // failed auto-checkpoint must not be reported as a failed
             // mutation.  `appends_since_checkpoint` stays at or above
             // the threshold, so the next append retries the checkpoint.
-            if wal.checkpoint(pin.db()).is_err() {
+            if wal.checkpoint(pin.shard(0)).is_err() {
                 most_obs::inc("wal.checkpoint_failures");
             }
         }
@@ -703,8 +699,7 @@ impl DurableDb {
     /// fully covered segments.
     pub fn checkpoint(&self) -> CoreResult<()> {
         let mut wal = self.wal.lock().expect("wal lock poisoned");
-        let pin = self.epochs.pin();
-        wal.checkpoint(pin.db()).map_err(|e| CoreError::Wal(e.to_string()))
+        wal.checkpoint(self.db.pin().shard(0)).map_err(|e| CoreError::Wal(e.to_string()))
     }
 
     /// Committed records with `seq >= from_seq` (the replica catch-up

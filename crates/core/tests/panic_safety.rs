@@ -128,3 +128,28 @@ fn epoch_db_survives_panicking_refresh() {
     shared.apply_updates(&motion_batch(6)).unwrap();
     shared.commit(|db| db.advance_clock(1));
 }
+
+#[test]
+fn epoch_db_survives_panicking_register() {
+    // The registration path: the initial evaluation of a new continuous
+    // query panicked inside `EpochDb::commit`, poisoned the writer lock,
+    // and every later mutation then panicked.  Now registration reports
+    // `EvalPanic`, registers nothing and consumes no id.
+    let (db, faulty, healthy) = armed_db(6);
+    let shared = EpochDb::new(db);
+    let boom = Query::parse(&format!("RETRIEVE o WHERE o.{BOOM} <= 100")).unwrap();
+    let err = shared.commit(|db| db.register_continuous(boom)).unwrap_err();
+    assert!(matches!(err, CoreError::EvalPanic(_)), "expected EvalPanic, got {err:?}");
+    assert!(shared.pin().continuous_answer(healthy + 1).is_err(), "nothing registered");
+
+    // The writer lock is not poisoned: the armed refresh still fails only
+    // the faulty query, and after disarming everything mutates cleanly.
+    let err = shared.apply_updates(&motion_batch(6)).unwrap_err();
+    assert!(matches!(err, CoreError::EvalPanic(_)));
+    shared.commit(|db| db.set_eval_fault(None));
+    shared.apply_updates(&motion_batch(6)).unwrap();
+    let next = Query::parse("RETRIEVE o WHERE INSIDE(o, P)").unwrap();
+    let id = shared.commit(|db| db.register_continuous(next)).unwrap();
+    assert_eq!(id, healthy + 1, "the failed registration consumed no id");
+    assert!(shared.pin().continuous_answer(faulty).is_ok());
+}

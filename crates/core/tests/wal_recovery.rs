@@ -167,7 +167,7 @@ fn crash_recovery_matches_never_crashed_oracle() {
                 "seed {seed}: primary and oracle must fail identically"
             );
         }
-        let at_crash = observe(durable.pin().db());
+        let at_crash = observe(durable.pin().shard(0));
         drop(durable); // the crash: no checkpoint, no clean shutdown
 
         // Leave a torn tail: a partial record (header promising more
@@ -199,12 +199,12 @@ fn crash_recovery_matches_never_crashed_oracle() {
             "seed {seed}: the torn tail must be detected"
         );
         assert_eq!(
-            observe(recovered.pin().db()),
+            observe(recovered.pin().shard(0)),
             at_crash,
             "seed {seed}: recovery must restore the exact at-crash state"
         );
         assert_eq!(
-            observe(recovered.pin().db()),
+            observe(recovered.pin().shard(0)),
             observe(&oracle),
             "seed {seed}: recovered state must match the never-crashed oracle"
         );
@@ -224,19 +224,20 @@ fn crash_recovery_matches_never_crashed_oracle() {
                 "seed {seed} step {step}: divergent error behaviour after recovery"
             );
             assert_eq!(
-                observe(recovered.pin().db()),
+                observe(recovered.pin().shard(0)),
                 observe(&oracle),
                 "seed {seed} step {step}: post-recovery divergence"
             );
         }
 
         // Epoch hygiene on the recovered engine.
-        let stats = recovered.epochs().stats();
-        assert_eq!(
-            stats.created,
-            stats.retired + stats.live,
-            "seed {seed}: epoch conservation violated after recovery"
-        );
+        for stats in recovered.engine().shard_stats() {
+            assert_eq!(
+                stats.created,
+                stats.retired + stats.live,
+                "seed {seed}: epoch conservation violated after recovery"
+            );
+        }
         drop(recovered);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -268,7 +269,7 @@ fn recovery_after_clean_run_replays_everything() {
     let (recovered, recovery) = DurableDb::open(&dir, WalConfig::default()).unwrap();
     assert!(!recovery.truncated_tail, "clean log has no torn tail");
     assert_eq!(recovery.records_replayed, script.len() as u64);
-    assert_eq!(observe(recovered.pin().db()), observe(&oracle));
+    assert_eq!(observe(recovered.pin().shard(0)), observe(&oracle));
     drop(recovered);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -315,7 +316,7 @@ fn checkpoint_prunes_segments_and_recovery_resumes_from_it() {
         "recovery must start from the checkpoint, not the beginning"
     );
     assert_eq!(recovery.records_replayed, 2, "only the post-checkpoint suffix replays");
-    assert_eq!(observe(recovered.pin().db()), observe(&oracle));
+    assert_eq!(observe(recovered.pin().shard(0)), observe(&oracle));
     drop(recovered);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -398,7 +399,7 @@ fn stale_segments_from_an_interrupted_prune_are_skipped() {
         "exactly the post-checkpoint suffix replays, stale segments notwithstanding"
     );
     assert!(recovery.stale_skipped > 0, "the stale records were seen and skipped");
-    assert_eq!(observe(recovered.pin().db()), observe(&oracle));
+    assert_eq!(observe(recovered.pin().shard(0)), observe(&oracle));
 
     // Commit more records with the stale segments still on disk, crash
     // again: the second recovery must not lose them either.
@@ -407,7 +408,7 @@ fn stale_segments_from_an_interrupted_prune_are_skipped() {
     drop(recovered);
     let (again, second) = DurableDb::open(&dir, WalConfig::default()).unwrap();
     assert_eq!(second.records_replayed, 3);
-    assert_eq!(observe(again.pin().db()), observe(&oracle));
+    assert_eq!(observe(again.pin().shard(0)), observe(&oracle));
     drop(again);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -449,7 +450,7 @@ fn failed_auto_checkpoint_does_not_fail_the_mutation() {
     let (recovered, recovery) = DurableDb::open(&dir, WalConfig::default()).unwrap();
     assert_eq!(recovery.checkpoint_seq, 3, "the retried checkpoint covers all three records");
     assert_eq!(recovery.records_replayed, 0);
-    assert_eq!(observe(recovered.pin().db()), observe(&oracle));
+    assert_eq!(observe(recovered.pin().shard(0)), observe(&oracle));
     drop(recovered);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -502,7 +503,7 @@ fn feed_serves_the_committed_suffix() {
     for (_, rec) in &all {
         let _ = apply_record(&mut follower, rec);
     }
-    assert_eq!(follower.fingerprint(), durable.pin().db().fingerprint());
+    assert_eq!(follower.fingerprint(), durable.pin().shard(0).fingerprint());
     drop(durable);
     let _ = fs::remove_dir_all(&dir);
 }

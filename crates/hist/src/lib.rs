@@ -7,10 +7,10 @@
 //! * [`HistoryStore`] / [`HistoryRecorder`] — piecewise-linear motion
 //!   histories recorded at the epoch-publish boundary, with
 //!   bounded-memory segment retention and `ToJson` snapshot
-//!   save/restore.  Recording composes with every engine
-//!   ([`most_core::EpochDb`], [`most_core::ShardedDb`],
-//!   [`most_core::DurableDb`]) through the publish-observer hook —
-//!   no new engine locks.
+//!   save/restore.  Recording attaches to the one engine type,
+//!   [`most_core::ShardedDb`] (a single database is its one-shard
+//!   instance; [`most_core::DurableDb`] logs in front of one), through
+//!   the publish-observer hook — no new engine locks.
 //! * [`alibi_intervals`] / [`alibi_oracle`] — the **alibi query**
 //!   ("could objects *a* and *b* have met?") as an exact space-time
 //!   prism (bead) intersection, returning meet-possible tick intervals,

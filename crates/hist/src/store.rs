@@ -4,12 +4,12 @@
 //! trajectory — one [`MovingPoint`] leg per explicit update.  The store
 //! turns that into a queryable *history warehouse* by consuming legs at
 //! the *epoch-publish boundary*: a [`HistoryRecorder`] installs itself as
-//! the engine's publish observer (see
-//! [`most_core::epoch::EpochDb::set_publish_observer`]) and, at every
-//! publish, appends any legs past its per-object watermark.  Recording
-//! therefore composes with [`EpochDb`], [`ShardedDb`] and
-//! [`most_core::DurableDb`] without adding a single lock to the engines
-//! themselves — the observer runs under the existing writer (per-shard)
+//! the publish observer of every shard of a [`ShardedDb`] (see
+//! [`ShardedDb::set_publish_observer`]) and, at every publish, appends
+//! any legs past its per-object watermark.  A single database is a
+//! one-shard engine, and [`most_core::DurableDb`] logs in front of one,
+//! so recording composes with every engine without adding a single lock
+//! to it — the observer runs under the existing per-shard writer
 //! critical section, and the recorder serializes its own state behind
 //! one internal mutex (shards publish concurrently).
 //!
@@ -24,7 +24,7 @@
 use crate::aggregate::WindowedAggregates;
 use crate::alibi::{alibi_intervals, alibi_oracle, Sample};
 use most_core::epoch::PublishObserver;
-use most_core::{Database, EpochDb, ShardedDb};
+use most_core::{Database, ShardedDb};
 use most_spatial::{MovingPoint, Point};
 use most_temporal::{Duration, Interval, IntervalSet, Tick};
 use std::collections::BTreeMap;
@@ -306,17 +306,10 @@ impl HistoryRecorder {
         })
     }
 
-    /// Installs this recorder on a single-epoch engine and catches up on
-    /// the already-published state (epochs published before installation
-    /// are not replayed).  A durable engine attaches through its epoch
-    /// engine: `attach(durable.epochs())`.
-    pub fn attach(self: &Arc<Self>, epochs: &EpochDb) {
-        epochs.set_publish_observer(Some(self.observer()));
-        self.record(epochs.pin().db());
-    }
-
-    /// Installs this recorder on every shard of a sharded engine and
-    /// catches up on the current cut.
+    /// Installs this recorder on every shard of an engine and catches up
+    /// on the current cut (epochs published before installation are not
+    /// replayed).  A durable engine attaches through its shared engine:
+    /// `attach_sharded(durable.engine())`.
     pub fn attach_sharded(self: &Arc<Self>, db: &ShardedDb) {
         db.set_publish_observer(Some(self.observer()));
         let cut = db.pin();
@@ -349,25 +342,25 @@ mod tests {
     use most_spatial::{Point, Polygon, Velocity};
     use most_testkit::ser::{from_json_str, to_json_string};
 
-    fn world() -> (EpochDb, u64, u64) {
+    fn world() -> (ShardedDb, u64, u64) {
         let mut db = Database::new(10_000);
         db.add_region("downtown", Polygon::rectangle(0.0, 0.0, 50.0, 50.0));
         let a = db.insert_moving_object("cars", Point::new(0.0, 0.0), Velocity::new(1.0, 0.0));
         let b = db.insert_moving_object("cars", Point::new(40.0, 0.0), Velocity::new(-1.0, 0.0));
-        (EpochDb::new(db), a, b)
+        (ShardedDb::from_database(db), a, b)
     }
 
     #[test]
     fn recording_consumes_legs_once() {
-        let (edb, a, _) = world();
+        let (engine, a, _) = world();
         let rec = HistoryRecorder::new(HistoryConfig::unpruned(16));
-        rec.attach(&edb);
+        rec.attach_sharded(&engine);
         assert_eq!(rec.with(|s| s.object(a).unwrap().retained()), 1, "initial legs caught up");
-        edb.commit(|d| d.advance_clock(5));
-        edb.apply_updates(&[UpdateOp::Motion { id: a, velocity: Velocity::new(0.0, 1.0) }])
+        engine.advance_clock(5);
+        engine.apply_updates(&[UpdateOp::Motion { id: a, velocity: Velocity::new(0.0, 1.0) }])
             .unwrap();
         // Re-record the same published state by hand: idempotent.
-        rec.record(edb.pin().db());
+        rec.record(engine.pin().shard(0));
         let hist = rec.store_snapshot();
         assert_eq!(hist.object(a).unwrap().retained(), 2);
         assert_eq!(hist.last_seen(), 5);
@@ -375,12 +368,12 @@ mod tests {
 
     #[test]
     fn retention_bounds_memory_but_not_aggregates() {
-        let (edb, a, _) = world();
+        let (engine, a, _) = world();
         let rec = HistoryRecorder::new(HistoryConfig { segment_capacity: 2, max_segments: 2, window: 8 });
-        rec.attach(&edb);
+        rec.attach_sharded(&engine);
         for i in 0..20u64 {
-            edb.commit(|d| d.advance_clock(1));
-            edb.apply_updates(&[UpdateOp::Motion {
+            engine.advance_clock(1);
+            engine.apply_updates(&[UpdateOp::Motion {
                 id: a,
                 velocity: Velocity::new(0.1 * (i % 3) as f64, 0.0),
             }])
@@ -397,11 +390,11 @@ mod tests {
 
     #[test]
     fn store_snapshot_roundtrips_via_json() {
-        let (edb, a, _) = world();
+        let (engine, a, _) = world();
         let rec = HistoryRecorder::new(HistoryConfig::default());
-        rec.attach(&edb);
-        edb.commit(|d| d.advance_clock(3));
-        edb.apply_updates(&[UpdateOp::Motion { id: a, velocity: Velocity::zero() }]).unwrap();
+        rec.attach_sharded(&engine);
+        engine.advance_clock(3);
+        engine.apply_updates(&[UpdateOp::Motion { id: a, velocity: Velocity::zero() }]).unwrap();
         let store = rec.store_snapshot();
         let text = to_json_string(&store).unwrap();
         let back: HistoryStore = from_json_str(&text).unwrap();
@@ -409,18 +402,18 @@ mod tests {
         assert_eq!(to_json_string(&back).unwrap(), text);
         // A recorder resumed from the snapshot continues where it left off.
         let resumed = HistoryRecorder::from_store(back);
-        resumed.record(edb.pin().db());
+        resumed.record(engine.pin().shard(0));
         assert_eq!(resumed.store_snapshot(), store, "no double-recording after restore");
     }
 
     #[test]
     fn alibi_answers_match_oracle_on_recorded_history() {
-        let (edb, a, b) = world();
+        let (engine, a, b) = world();
         let rec = HistoryRecorder::new(HistoryConfig::unpruned(16));
-        rec.attach(&edb);
+        rec.attach_sharded(&engine);
         for _ in 0..4 {
-            edb.commit(|d| d.advance_clock(5));
-            edb.apply_updates(&[
+            engine.advance_clock(5);
+            engine.apply_updates(&[
                 UpdateOp::Motion { id: a, velocity: Velocity::new(1.0, 0.0) },
                 UpdateOp::Motion { id: b, velocity: Velocity::new(-1.0, 0.0) },
             ])

@@ -13,7 +13,7 @@
 //! Failures shrink to a minimal case and append their seed to
 //! `tests/alibi_props.seeds`, replayed first on every run.
 
-use most_core::{Database, EpochDb, UpdateOp};
+use most_core::{Database, ShardedDb, UpdateOp};
 use most_hist::{alibi_intervals, alibi_oracle, HistoryConfig, HistoryRecorder, Sample, WindowedAggregates};
 use most_spatial::{Point, Polygon, Velocity};
 use most_temporal::Interval;
@@ -151,24 +151,24 @@ fn aggregates_match_full_recompute() {
                     )
                 })
                 .collect();
-            let edb = EpochDb::new(db);
+            let engine = ShardedDb::from_database(db);
             let rec = HistoryRecorder::new(HistoryConfig::unpruned(c.window));
-            rec.attach(&edb);
+            rec.attach_sharded(&engine);
             for &(ticks, idx, vx, vy) in &c.steps {
-                edb.commit(|d| d.advance_clock(ticks));
+                engine.advance_clock(ticks);
                 let id = ids[(idx as usize) % ids.len()];
-                edb.apply_updates(&[UpdateOp::Motion {
+                engine.apply_updates(&[UpdateOp::Motion {
                     id,
                     velocity: Velocity::new(vx as f64, vy as f64),
                 }])
                 .unwrap();
             }
-            let pin = edb.pin();
+            let pin = engine.pin();
             rec.with(|store| {
                 let oracle = WindowedAggregates::recompute(
                     c.window,
                     store.retained_samples(),
-                    pin.db(),
+                    pin.shard(0),
                 );
                 assert_eq!(store.aggregates(), &oracle, "incremental aggregate diverged");
             });

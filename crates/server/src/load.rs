@@ -26,6 +26,8 @@
 //!   byte for byte, and the recovered engine's epoch accounting must
 //!   still conserve (`created == retired + live`).
 //!
+//! Every server runs over a one-shard [`ShardedDb`].
+//!
 //! Everything is a pure function of the spec (object placement, region
 //! grid, query texts, per-tick update batches), so same-seed runs are
 //! reproducible end to end.
@@ -34,7 +36,7 @@ use crate::client::Client;
 use crate::protocol::CqDelta;
 use crate::server::{Server, ServerConfig};
 use most_core::wal::{DurableDb, WalConfig};
-use most_core::{Database, EpochDb, UpdateOp};
+use most_core::{Database, ShardedDb, UpdateOp};
 use most_dbms::value::Value;
 use most_ftl::Query;
 use most_spatial::{Point, Polygon, Velocity};
@@ -193,9 +195,9 @@ pub fn run_correctness(spec: &LoadSpec) -> CorrectnessOutcome {
         outbox: 1 << 16,
         ..ServerConfig::default()
     };
-    let shared = EpochDb::new(db);
+    let shared = Arc::new(ShardedDb::from_database(db));
     let server =
-        Server::bind("127.0.0.1:0", shared.clone(), cfg).expect("bind ephemeral port");
+        Server::bind("127.0.0.1:0", Arc::clone(&shared), cfg).expect("bind ephemeral port");
     let addr: SocketAddr = server.local_addr();
     let mut requests = 0u64;
 
@@ -284,10 +286,11 @@ pub fn run_correctness(spec: &LoadSpec) -> CorrectnessOutcome {
     // Epoch hygiene at quiescence: every mutation published exactly one
     // epoch, nothing stayed buffered, and with no request in flight only
     // the published snapshot is alive (`created == retired + live`).
-    let st = shared.stats();
-    assert_eq!(st.created, st.retired + st.live, "epoch accounting leak: {st:?}");
-    assert_eq!(st.live, 1, "server retained old epochs: {st:?}");
-    assert_eq!(st.pending_batches, 0, "server left a batch buffered: {st:?}");
+    for st in shared.shard_stats() {
+        assert_eq!(st.created, st.retired + st.live, "epoch accounting leak: {st:?}");
+        assert_eq!(st.live, 1, "server retained old epochs: {st:?}");
+        assert_eq!(st.pending_batches, 0, "server left a batch buffered: {st:?}");
+    }
 
     let dropped = server.stats().dropped;
     drop(subscribers);
@@ -342,7 +345,7 @@ pub fn run_throughput(spec: &ThroughputSpec) -> ThroughputOutcome {
         outbox: 1 << 16,
         ..ServerConfig::default()
     };
-    let server = Server::bind("127.0.0.1:0", EpochDb::new(db), cfg)
+    let server = Server::bind("127.0.0.1:0", Arc::new(ShardedDb::from_database(db)), cfg)
         .expect("bind ephemeral port");
     let addr = server.local_addr();
     let texts = query_texts(&spec.load);
@@ -536,7 +539,7 @@ pub fn run_crash_recovery(spec: &LoadSpec, dir: &Path) -> CrashRecoveryOutcome {
             verified = false;
         }
     }
-    if recovered.pin().fingerprint() != oracle.fingerprint() {
+    if recovered.pin().shard(0).fingerprint() != oracle.fingerprint() {
         verified = false;
     }
 
@@ -546,9 +549,9 @@ pub fn run_crash_recovery(spec: &LoadSpec, dir: &Path) -> CrashRecoveryOutcome {
     drop(check);
     drop(driver);
     server.shutdown();
-    let st = recovered.epochs().stats();
-    let epoch_conserved =
-        st.created == st.retired + st.live && st.live == 1 && st.pending_batches == 0;
+    let epoch_conserved = recovered.engine().shard_stats().iter().all(|st| {
+        st.created == st.retired + st.live && st.live == 1 && st.pending_batches == 0
+    });
 
     let outcome = CrashRecoveryOutcome {
         requests,

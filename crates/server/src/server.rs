@@ -19,14 +19,16 @@
 //! after a mutation has necessarily drained the deltas that mutation
 //! produced — the fence the deterministic load harness builds on.
 //!
+//! The engine is one [`ShardedDb`] — a single database is its one-shard
+//! instance — optionally write-ahead logged through a [`DurableDb`].
 //! Read-only requests don't even take a lock: each one **pins the
-//! published epoch** (`most_core::epoch`) — an `Arc` clone — and answers
-//! from that immutable snapshot, so sessions read concurrently with
+//! published cut** (`most_core::sharded`) — an `Arc` clone — and answers
+//! from those immutable shard epochs, so sessions read concurrently with
 //! mutations and with the continuous-query refresh they trigger.  Each
-//! `Update` batch publishes exactly one epoch (one batch → one refresh
-//! pass → one epoch → one delta fan-out), and `notify_subscribers` pins
-//! the just-published epoch so every delta in the global sequence is
-//! computed from a single consistent state.
+//! `Update` batch publishes exactly one cut (one batch → one refresh
+//! pass per touched shard → one cut → one delta fan-out), and
+//! `notify_subscribers` pins the just-published cut so every delta in the
+//! global sequence is computed from a single consistent state.
 //!
 //! Backpressure: replies always enqueue (the closed-loop protocol bounds
 //! them at one per in-flight request), but pushed delta frames are
@@ -42,12 +44,11 @@ use crate::protocol::{
 use most_core::continuous::display_delta;
 use most_core::sharded::{CutPin, ShardedDb};
 use most_core::wal::DurableDb;
-use most_core::{CoreError, CoreResult, EpochDb, EpochPin};
+use most_core::{CoreError, CoreResult};
 use most_dbms::value::Value;
-use most_ftl::answer::Answer;
 use most_ftl::Query;
 use most_hist::{HistoryConfig, HistoryRecorder};
-use most_temporal::{Interval, Tick};
+use most_temporal::Interval;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -111,137 +112,66 @@ impl Default for ServerConfig {
     }
 }
 
-/// The storage engine behind the server: one epoch stream, or N of them
-/// behind a cross-shard cut.
+/// The storage engine behind the server: one [`ShardedDb`] (N ≥ 1
+/// shards), optionally write-ahead logged.  Only the four mutators and
+/// [`Request::Feed`] depend on durability; reads pin `db` either way.
 #[derive(Debug)]
-enum Engine {
-    /// A single [`EpochDb`], optionally write-ahead logged.
-    Single {
-        db: EpochDb,
-        /// When set, every mutation routes through the write-ahead log
-        /// before publishing its epoch, and [`Request::Feed`] serves the
-        /// committed record sequence.  `db` shares the same epoch engine,
-        /// so reads see exactly the logged-then-published states.
-        durable: Option<Arc<DurableDb>>,
-    },
-    /// A partitioned [`ShardedDb`]: mutations apply shard-locally in
-    /// parallel, reads pin a whole cross-shard cut.
-    Sharded(Arc<ShardedDb>),
-}
-
-/// A consistent read view: one pinned epoch or one pinned cut.  All
-/// queries in a request answer from the same view.
-enum View {
-    Single(EpochPin),
-    Sharded(CutPin),
-}
-
-impl View {
-    fn now(&self) -> Tick {
-        match self {
-            View::Single(pin) => pin.now(),
-            View::Sharded(cut) => cut.now(),
-        }
-    }
-
-    fn instantaneous(&self, q: &Query) -> CoreResult<Answer> {
-        match self {
-            View::Single(pin) => pin.instantaneous_readonly(q),
-            View::Sharded(cut) => cut.instantaneous(q),
-        }
-    }
-
-    fn persistent_answer(&self, q: &Query, origin: Tick) -> CoreResult<Answer> {
-        match self {
-            View::Single(pin) => pin.persistent_answer(q, origin),
-            View::Sharded(cut) => cut.persistent_answer(q, origin),
-        }
-    }
-
-    fn continuous_display(&self, cq: u64, at: Tick) -> CoreResult<Vec<Vec<Value>>> {
-        match self {
-            View::Single(pin) => pin.continuous_display(cq, at),
-            View::Sharded(cut) => cut.continuous_display(cq, at),
-        }
-    }
+struct Engine {
+    db: Arc<ShardedDb>,
+    /// When set, every mutation routes through the write-ahead log before
+    /// publishing its cut, and [`Request::Feed`] serves the committed
+    /// record sequence.  `db` is this log's own engine, so reads see
+    /// exactly the logged-then-published states.
+    durable: Option<Arc<DurableDb>>,
 }
 
 impl Engine {
-    fn pin(&self) -> View {
-        match self {
-            Engine::Single { db, .. } => View::Single(db.pin()),
-            Engine::Sharded(s) => View::Sharded(s.pin()),
-        }
-    }
-
-    fn now(&self) -> Tick {
-        self.pin().now()
-    }
-
     fn advance_clock(&self, ticks: u64) -> CoreResult<()> {
-        match self {
-            Engine::Single { durable: Some(d), .. } => d.advance_clock(ticks),
-            Engine::Single { db, .. } => {
-                db.commit(|d| d.advance_clock(ticks));
-                Ok(())
-            }
-            Engine::Sharded(s) => {
-                s.advance_clock(ticks);
+        match &self.durable {
+            Some(d) => d.advance_clock(ticks),
+            None => {
+                self.db.advance_clock(ticks);
                 Ok(())
             }
         }
     }
 
     fn apply_updates(&self, ops: &[most_core::UpdateOp]) -> CoreResult<()> {
-        match self {
-            Engine::Single { durable: Some(d), .. } => d.apply_updates(ops),
-            Engine::Single { db, .. } => db.apply_updates(ops),
-            Engine::Sharded(s) => s.apply_updates(ops),
+        match &self.durable {
+            Some(d) => d.apply_updates(ops),
+            None => self.db.apply_updates(ops),
         }
     }
 
-    fn register_continuous(&self, text: &str, q: Query) -> CoreResult<u64> {
-        match self {
+    fn register_continuous(&self, text: &str, q: &Query) -> CoreResult<u64> {
+        match &self.durable {
             // The durable path logs the *text* so replay re-parses
             // identically.
-            Engine::Single { durable: Some(d), .. } => d.register_continuous(text),
-            Engine::Single { db, .. } => db.commit(|d| d.register_continuous(q)),
-            Engine::Sharded(s) => s.register_continuous(&q),
+            Some(d) => d.register_continuous(text),
+            None => self.db.register_continuous(q),
         }
     }
 
     fn cancel_continuous(&self, cq: u64) -> CoreResult<()> {
-        match self {
-            Engine::Single { durable: Some(d), .. } => d.cancel_continuous(cq),
-            Engine::Single { db, .. } => db.commit(|d| d.cancel_continuous(cq)),
-            Engine::Sharded(s) => s.cancel_continuous(cq),
-        }
-    }
-
-    /// JSON of the full database state as **one** canonical `Database`
-    /// object.  The sharded engine merges its cut ([`merged_cut_json`]),
-    /// so clients decode the same shape regardless of the engine behind
-    /// the server.
-    fn snapshot_json(&self) -> Result<String, most_testkit::ser::JsonError> {
-        match self {
-            Engine::Single { db, .. } => most_testkit::ser::to_json_string(db.pin().db()),
-            Engine::Sharded(s) => merged_cut_json(&s.pin())?.render(),
+        match &self.durable {
+            Some(d) => d.cancel_continuous(cq),
+            None => self.db.cancel_continuous(cq),
         }
     }
 }
 
-/// Merges a pinned cross-shard cut into one canonical `Database` JSON
-/// object: shard 0 provides the replicated fields (clock, expiration,
-/// regions, refresh mode, triggers), object and class entries from every
-/// shard are merged in ascending key order, `next_id` is the cross-shard
-/// maximum, and the cost counters are summed (each update applies on
-/// exactly one shard).  Without registered continuous queries the result
-/// is byte-identical to a single-engine snapshot of the same logical
-/// state; with CQs, shard 0's registry stands in for the cut (per-shard
-/// registries hold shard-local materialized answers — see E16).
-fn merged_cut_json(
-    cut: &CutPin,
-) -> Result<most_testkit::ser::Json, most_testkit::ser::JsonError> {
+/// Renders a pinned cut as one canonical `Database` JSON object (the
+/// [`Request::Snapshot`] reply): shard 0 provides the replicated fields
+/// (clock, expiration, regions, refresh mode, triggers), object and class
+/// entries from every shard are merged in ascending key order, `next_id`
+/// is the cross-shard maximum, and the cost counters are summed (each
+/// update applies on exactly one shard).  With one shard the result is
+/// byte-identical to the shard's own `Database` JSON.  With more, and
+/// without registered continuous queries, it is byte-identical to a
+/// one-shard snapshot of the same logical state; with CQs, shard 0's
+/// registry stands in for the cut (per-shard registries hold shard-local
+/// materialized answers — see E16).
+fn merged_cut_json(cut: &CutPin) -> Result<String, most_testkit::ser::JsonError> {
     use most_core::database::DbStats;
     use most_testkit::ser::{FromJson, Json, JsonError, ToJson};
     let mut template: Vec<(String, Json)> = Vec::new();
@@ -299,7 +229,7 @@ fn merged_cut_json(
             _ => {}
         }
     }
-    Ok(Json::Obj(template))
+    Json::Obj(template).render()
 }
 
 /// A snapshot of the server's counters.
@@ -440,44 +370,34 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds and starts serving.  Bind to port 0 and read the ephemeral
-    /// port back with [`Server::local_addr`] — tests must never hard-code
+    /// Binds and starts serving over an engine of N ≥ 1 shards (wrap a
+    /// single database with [`ShardedDb::from_database`]).  Every mutating
+    /// request publishes one cut; reads and the delta fan-out pin whole
+    /// cuts.  [`Request::Feed`] is rejected with [`ErrorCode::NotDurable`],
+    /// and [`Request::Snapshot`] merges the cut into **one** canonical
+    /// `Database` JSON object.  Bind to port 0 and read the ephemeral port
+    /// back with [`Server::local_addr`] — tests must never hard-code
     /// ports.
     pub fn bind(
-        addr: impl ToSocketAddrs,
-        db: EpochDb,
-        cfg: ServerConfig,
-    ) -> io::Result<Server> {
-        Server::bind_inner(addr, Engine::Single { db, durable: None }, cfg)
-    }
-
-    /// Binds a server over a **sharded** engine: every mutating request
-    /// applies shard-locally in parallel and publishes one cross-shard
-    /// cut; reads and the delta fan-out pin whole cuts.  [`Request::Feed`]
-    /// is rejected with [`ErrorCode::NotDurable`] (the sharded engine has
-    /// no write-ahead log yet), and [`Request::Snapshot`] merges the cut
-    /// into **one** canonical `Database` JSON object, the same shape a
-    /// single-engine server emits.
-    pub fn bind_sharded(
         addr: impl ToSocketAddrs,
         db: Arc<ShardedDb>,
         cfg: ServerConfig,
     ) -> io::Result<Server> {
-        Server::bind_inner(addr, Engine::Sharded(db), cfg)
+        Server::bind_inner(addr, Engine { db, durable: None }, cfg)
     }
 
     /// Binds a **durable** server over a write-ahead-logged database:
     /// every mutating request appends to `durable`'s log before its
-    /// epoch publishes, and [`Request::Feed`] serves the committed
-    /// record sequence to replicas.  Reads share `durable`'s epoch
-    /// engine, so they see exactly the logged states.
+    /// cut publishes, and [`Request::Feed`] serves the committed
+    /// record sequence to replicas.  Reads share `durable`'s engine,
+    /// so they see exactly the logged states.
     pub fn bind_durable(
         addr: impl ToSocketAddrs,
         durable: Arc<DurableDb>,
         cfg: ServerConfig,
     ) -> io::Result<Server> {
-        let db = durable.epochs().clone();
-        Server::bind_inner(addr, Engine::Single { db, durable: Some(durable) }, cfg)
+        let db = Arc::clone(durable.engine());
+        Server::bind_inner(addr, Engine { db, durable: Some(durable) }, cfg)
     }
 
     fn bind_inner(
@@ -491,10 +411,7 @@ impl Server {
         // published from here on is recorded, and the pre-bind state is
         // caught up from a pin.
         let hist = HistoryRecorder::new(cfg.history);
-        match &engine {
-            Engine::Single { db, .. } => hist.attach(db),
-            Engine::Sharded(s) => hist.attach_sharded(s),
-        }
+        hist.attach_sharded(&engine.db);
         let shared = Arc::new(Shared {
             engine,
             cfg: cfg.clone(),
@@ -770,8 +687,8 @@ fn parse_query(shared: &Shared, text: &str) -> Result<Query, Response> {
 fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) -> Response {
     match req {
         Request::Ping => Response::Pong,
-        Request::Now => Response::Tick { now: shared.engine.now() },
-        Request::Snapshot => match shared.engine.snapshot_json() {
+        Request::Now => Response::Tick { now: shared.engine.db.pin().now() },
+        Request::Snapshot => match merged_cut_json(&shared.engine.db.pin()) {
             Ok(json) => Response::Db { json },
             Err(e) => err(ErrorCode::Internal, format!("snapshot failed: {e}")),
         },
@@ -790,8 +707,8 @@ fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) ->
         Request::Instantaneous { query } => match parse_query(shared, &query) {
             Err(e) => e,
             Ok(q) => {
-                // Lock-free: evaluate on a pinned view (epoch or cut).
-                let view = shared.engine.pin();
+                // Lock-free: evaluate on a pinned cut.
+                let view = shared.engine.db.pin();
                 match view.instantaneous(&q) {
                     Ok(answer) => Response::Answer { now: view.now(), answer },
                     Err(e) => err(ErrorCode::Eval, e),
@@ -801,7 +718,7 @@ fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) ->
         Request::Persistent { query, origin } => match parse_query(shared, &query) {
             Err(e) => e,
             Ok(q) => {
-                let view = shared.engine.pin();
+                let view = shared.engine.db.pin();
                 let now = view.now();
                 if origin > now {
                     return err(
@@ -817,7 +734,7 @@ fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) ->
         },
         Request::AdvanceClock { ticks } => {
             let _order = lock_clean(&shared.sync);
-            let now = shared.engine.now();
+            let now = shared.engine.db.pin().now();
             if now.checked_add(ticks).is_none() {
                 return err(
                     ErrorCode::ClockOverflow,
@@ -828,7 +745,7 @@ fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) ->
                 return wal_err(e);
             }
             notify_subscribers(shared);
-            Response::Tick { now: shared.engine.now() }
+            Response::Tick { now: shared.engine.db.pin().now() }
         }
         Request::Update { ops } => {
             let _order = lock_clean(&shared.sync);
@@ -854,7 +771,7 @@ fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) ->
                         panic!("injected handler fault: query text contains `{trigger}`");
                     }
                 }
-                let result = shared.engine.register_continuous(&query, q);
+                let result = shared.engine.register_continuous(&query, &q);
                 match result {
                     Ok(cq) => Response::Registered { cq },
                     Err(e @ CoreError::Wal(_)) => wal_err(e),
@@ -862,8 +779,8 @@ fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) ->
                 }
             }
         },
-        Request::Feed { from_seq } => match &shared.engine {
-            Engine::Single { durable: Some(d), .. } => match d.read_from(from_seq) {
+        Request::Feed { from_seq } => match &shared.engine.durable {
+            Some(d) => match d.read_from(from_seq) {
                 // Pruned prefix: tell the replica to bootstrap from a
                 // snapshot instead of serving a silently gapped stream
                 // it would buffer behind forever.
@@ -882,7 +799,7 @@ fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) ->
                     Response::Feed { next_seq, records }
                 }
             },
-            _ => err(
+            None => err(
                 ErrorCode::NotDurable,
                 "replica feed requires a durable (WAL-backed) server",
             ),
@@ -903,7 +820,7 @@ fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) ->
             // Lock-free like the other reads: the recorder serializes its
             // own store; the engine is never touched beyond a pin for
             // `now`.
-            let now = shared.engine.now();
+            let now = shared.engine.db.pin().now();
             let range = Interval::new(begin, end);
             shared.hist.with(|store| {
                 for id in [a, b] {
@@ -927,7 +844,7 @@ fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) ->
                     format!("aggregate range [{begin}, {end}] is empty"),
                 );
             }
-            let now = shared.engine.now();
+            let now = shared.engine.db.pin().now();
             shared.hist.with(|store| {
                 let agg = store.aggregates();
                 let window = agg.window();
@@ -961,7 +878,7 @@ fn handle_request(shared: &Arc<Shared>, session: &Arc<Session>, req: Request) ->
         }
         Request::Subscribe { cq } => {
             let _order = lock_clean(&shared.sync);
-            let view = shared.engine.pin();
+            let view = shared.engine.db.pin();
             let tick = view.now();
             match view.continuous_display(cq, tick).map(|r| (tick, r)) {
                 Ok((tick, rows)) => {
@@ -997,9 +914,8 @@ fn notify_subscribers(shared: &Arc<Shared>) {
     }
     let cap = shared.cfg.outbox;
     // One pin for the whole fan-out: every delta in this round of the
-    // global sequence is computed from the same just-published view
-    // (one epoch, or one cross-shard cut).
-    let view = shared.engine.pin();
+    // global sequence is computed from the same just-published cut.
+    let view = shared.engine.db.pin();
     {
         let now = view.now();
         for s in &sessions {
@@ -1036,5 +952,40 @@ fn notify_subscribers(shared: &Arc<Shared>) {
                 subs.remove(&cq);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use most_core::{Database, UpdateOp};
+    use most_spatial::{Point, Polygon, Velocity};
+
+    /// The one-shard snapshot is the shard's own `Database` JSON, byte for
+    /// byte — with live continuous queries, updates and a clock advance.
+    #[test]
+    fn one_shard_snapshot_is_the_database_json() {
+        let mut db = Database::new(1_000);
+        for i in 0..6 {
+            let id = db.insert_moving_object(
+                "cars",
+                Point::new(i as f64 * 20.0, 0.0),
+                Velocity::new(1.0, 0.5),
+            );
+            db.set_static(id, "PRICE", Value::from(40.0 + i as f64 * 15.0)).unwrap();
+        }
+        db.add_region("P", Polygon::rectangle(30.0, -10.0, 90.0, 10.0));
+        let engine = ShardedDb::from_database(db);
+        let cq = Query::parse("RETRIEVE o WHERE INSIDE(o, P)").unwrap();
+        engine.register_continuous(&cq).unwrap();
+        engine.advance_clock(4);
+        engine
+            .apply_updates(&[UpdateOp::Motion { id: 2, velocity: Velocity::new(-1.0, 0.0) }])
+            .unwrap();
+        let pin = engine.pin();
+        assert_eq!(
+            merged_cut_json(&pin).unwrap(),
+            most_testkit::ser::to_json_string(pin.shard(0)).unwrap()
+        );
     }
 }

@@ -8,9 +8,9 @@
 //! snapshot must be byte-identical to a single engine holding the same
 //! logical state.
 
-use most_core::sharded::ShardedDbBuilder;
+use most_core::sharded::{ShardedDb, ShardedDbBuilder};
 use most_core::wal::{DurableDb, WalConfig};
-use most_core::{Database, EpochDb};
+use most_core::Database;
 use most_hist::HistoryConfig;
 use most_server::client::{Client, ClientError};
 use most_server::protocol::{ErrorCode, Request, Response};
@@ -108,7 +108,7 @@ fn history_composes_with_single_server() {
         history: HistoryConfig { window: 25, ..HistoryConfig::unpruned(25) },
         ..ServerConfig::default()
     };
-    let server = Server::bind("127.0.0.1:0", EpochDb::new(db), cfg).unwrap();
+    let server = Server::bind("127.0.0.1:0", Arc::new(ShardedDb::from_database(db)), cfg).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let horizon = drive(&mut client, &ids, &plans);
     check_queries(&mut client, &server, &ids, horizon);
@@ -127,7 +127,7 @@ fn history_composes_with_sharded_server() {
         history: HistoryConfig { window: 25, ..HistoryConfig::unpruned(25) },
         ..ServerConfig::default()
     };
-    let server = Server::bind_sharded("127.0.0.1:0", Arc::new(builder.finish()), cfg).unwrap();
+    let server = Server::bind("127.0.0.1:0", Arc::new(builder.finish()), cfg).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let horizon = drive(&mut client, &ids, &plans);
     // Every shard's publishes reached the one store.
@@ -174,7 +174,7 @@ fn sharded_snapshot_matches_single_engine_bytes() {
     let single_ids = s.populate(&mut single_db, &plans);
     let single = Server::bind(
         "127.0.0.1:0",
-        EpochDb::new(single_db),
+        Arc::new(ShardedDb::from_database(single_db)),
         ServerConfig::default(),
     )
     .unwrap();
@@ -185,7 +185,7 @@ fn sharded_snapshot_matches_single_engine_bytes() {
     let sharded_ids = s.populate_sharded(&mut builder, &plans);
     assert_eq!(single_ids, sharded_ids, "identical global ids in plan order");
     let sharded =
-        Server::bind_sharded("127.0.0.1:0", Arc::new(builder.finish()), ServerConfig::default())
+        Server::bind("127.0.0.1:0", Arc::new(builder.finish()), ServerConfig::default())
             .unwrap();
 
     let mut c_single = Client::connect(single.local_addr()).unwrap();
@@ -219,7 +219,7 @@ fn sharded_snapshot_decodes_with_live_cqs() {
     builder.add_region("north", Polygon::rectangle(-400.0, 0.0, 400.0, 400.0));
     let ids = s.populate_sharded(&mut builder, &plans);
     let server =
-        Server::bind_sharded("127.0.0.1:0", Arc::new(builder.finish()), ServerConfig::default())
+        Server::bind("127.0.0.1:0", Arc::new(builder.finish()), ServerConfig::default())
             .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.register("RETRIEVE o WHERE INSIDE(o, downtown)").unwrap();

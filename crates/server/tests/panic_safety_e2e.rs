@@ -13,8 +13,8 @@
 //! `Register` whose query text contains the marker panics in the handler
 //! at the worst possible point — with the mutation-order lock held.
 
-use most_core::sharded::{ShardRouting, ShardedDbBuilder};
-use most_core::{Database, EpochDb, UpdateOp};
+use most_core::sharded::{ShardRouting, ShardedDb, ShardedDbBuilder};
+use most_core::{Database, UpdateOp};
 use most_dbms::value::Value;
 use most_server::client::{Client, ClientError};
 use most_server::protocol::{ErrorCode, Request, Response};
@@ -37,8 +37,8 @@ fn demo_db() -> Database {
 #[test]
 fn panicking_session_leaves_server_serving() {
     let cfg = ServerConfig { panic_trigger: Some(TRIGGER.into()), ..ServerConfig::default() };
-    let server =
-        Server::bind("127.0.0.1:0", EpochDb::new(demo_db()), cfg).expect("bind");
+    let engine = Arc::new(ShardedDb::from_database(demo_db()));
+    let server = Server::bind("127.0.0.1:0", engine, cfg).expect("bind");
     let addr = server.local_addr();
 
     let mut driver = Client::connect(addr).unwrap();
@@ -104,7 +104,7 @@ fn sharded_server_round_trip() {
     }
     let db = Arc::new(builder.finish());
 
-    let server = Server::bind_sharded("127.0.0.1:0", db, ServerConfig::default()).unwrap();
+    let server = Server::bind("127.0.0.1:0", db, ServerConfig::default()).unwrap();
     let addr = server.local_addr();
     let mut driver = Client::connect(addr).unwrap();
     let mut sub = Client::connect(addr).unwrap();

@@ -5,7 +5,7 @@
 //! Randomness comes from the in-repo `most-testkit` RNG, so failures
 //! reproduce from the printed seed.
 
-use most_core::{Database, EpochDb};
+use most_core::{Database, ShardedDb};
 use most_dbms::value::Value;
 use most_server::client::connect_with_retry;
 use most_server::protocol::{decode_response, ErrorCode, FrameReader, Response};
@@ -13,15 +13,17 @@ use most_server::server::{Server, ServerConfig};
 use most_spatial::{Point, Polygon, Velocity};
 use most_testkit::rng::Rng;
 use std::io::Write;
+use std::sync::Arc;
 
 const MAX_FRAME: usize = 256;
 
-fn tiny_db() -> Database {
+/// A one-car world as a one-shard engine.
+fn tiny_db() -> Arc<ShardedDb> {
     let mut db = Database::new(1_000);
     let id = db.insert_moving_object("cars", Point::new(0.0, 0.0), Velocity::new(1.0, 0.0));
     db.set_static(id, "PRICE", Value::from(80.0)).unwrap();
     db.add_region("P", Polygon::rectangle(-10.0, -10.0, 10.0, 10.0));
-    db
+    Arc::new(ShardedDb::from_database(db))
 }
 
 /// One line of input plus the reply check it implies.
@@ -66,7 +68,7 @@ fn random_frame(rng: &mut Rng) -> Frame {
 #[test]
 fn malformed_frames_never_kill_the_session() {
     let cfg = ServerConfig { max_frame: MAX_FRAME, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", EpochDb::new(tiny_db()), cfg)
+    let server = Server::bind("127.0.0.1:0", tiny_db(), cfg)
         .expect("bind ephemeral port");
     let addr = server.local_addr();
 
@@ -134,7 +136,7 @@ fn oversized_line_recovery_is_exact() {
     // An oversized request split across many small writes still yields
     // exactly one FrameTooLong error, and the next frame parses cleanly.
     let cfg = ServerConfig { max_frame: MAX_FRAME, ..ServerConfig::default() };
-    let server = Server::bind("127.0.0.1:0", EpochDb::new(tiny_db()), cfg)
+    let server = Server::bind("127.0.0.1:0", tiny_db(), cfg)
         .expect("bind ephemeral port");
     let stream = connect_with_retry(server.local_addr(), 20).unwrap();
     let mut write_half = stream.try_clone().unwrap();

@@ -3,7 +3,7 @@
 //! the protocol itself (replies fence previously-enqueued pushes because a
 //! session's outbox is FIFO).
 
-use most_core::{Database, EpochDb, UpdateOp};
+use most_core::{Database, ShardedDb, UpdateOp};
 use most_dbms::value::Value;
 use most_ftl::Query;
 use most_server::client::{connect_with_retry, Client, ClientError};
@@ -26,7 +26,8 @@ fn demo_db() -> Database {
 }
 
 fn serve(db: Database, cfg: ServerConfig) -> Server {
-    Server::bind("127.0.0.1:0", EpochDb::new(db), cfg).expect("bind ephemeral port")
+    Server::bind("127.0.0.1:0", Arc::new(ShardedDb::from_database(db)), cfg)
+        .expect("bind ephemeral port")
 }
 
 #[test]
@@ -298,7 +299,7 @@ fn durable_server_survives_crash_and_recovers_state() {
         .unwrap();
     let (_, answer_before) = c.instantaneous("RETRIEVE o WHERE o.PRICE <= 100").unwrap();
     assert_eq!(answer_before.len(), 2, "both cars now cheap");
-    let fingerprint_before = durable.pin().db().fingerprint();
+    let fingerprint_before = durable.pin().shard(0).fingerprint();
     drop(c);
     server.shutdown();
     drop(durable);
@@ -308,7 +309,7 @@ fn durable_server_survives_crash_and_recovers_state() {
     assert!(!recovery.truncated_tail);
     assert_eq!(recovery.records_replayed, 3, "register + advance + update");
     let recovered = Arc::new(recovered);
-    assert_eq!(recovered.pin().db().fingerprint(), fingerprint_before);
+    assert_eq!(recovered.pin().shard(0).fingerprint(), fingerprint_before);
     let server2 =
         Server::bind_durable("127.0.0.1:0", Arc::clone(&recovered), ServerConfig::default())
             .unwrap();
@@ -346,7 +347,7 @@ fn feed_endpoint_streams_committed_records_to_a_replica() {
         let rec = most_testkit::ser::from_json_str(&fr.record).unwrap();
         apply_record(&mut replica, &rec).unwrap();
     }
-    assert_eq!(replica.fingerprint(), durable.pin().db().fingerprint());
+    assert_eq!(replica.fingerprint(), durable.pin().shard(0).fingerprint());
 
     // Tailing from next_seq returns nothing new.
     let (tail_seq, tail) = c.feed(next_seq).unwrap();

@@ -10,11 +10,12 @@
 //! The server binds an ephemeral port on localhost; nothing external is
 //! contacted.
 
-use moving_objects::core::{Database, EpochDb};
+use moving_objects::core::{Database, ShardedDb};
 use moving_objects::server::client::Client;
 use moving_objects::server::server::{Server, ServerConfig};
 use moving_objects::spatial::{Point, Polygon, Velocity};
 use moving_objects::workload::motels;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The world: 40 motels along the highway, one car driving east, and
@@ -25,9 +26,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let car = db.insert_moving_object("cars", Point::new(0.0, 0.0), Velocity::new(1.0, 0.0));
     db.add_region("C", Polygon::rectangle(-5.0, -5.0, 5.0, 5.0));
 
-    // The server runs on background threads; `bind` returns immediately
-    // and the ephemeral port is read back from the handle.
-    let server = Server::bind("127.0.0.1:0", EpochDb::new(db), ServerConfig::default())?;
+    // The server runs on background threads over a one-shard engine;
+    // `bind` returns immediately and the ephemeral port is read back from
+    // the handle.
+    let engine = Arc::new(ShardedDb::from_database(db));
+    let server = Server::bind("127.0.0.1:0", engine, ServerConfig::default())?;
     let addr = server.local_addr();
     println!("most-server listening on {addr}");
 
